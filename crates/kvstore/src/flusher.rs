@@ -3,16 +3,17 @@
 //! One thread per hybrid-mode store. Writers rotate their over-budget
 //! active memtable onto the shard's immutable list (under the brief
 //! shard write lock) and send the shard index down a FIFO channel; this
-//! thread pops the shard's **oldest** immutable, writes it to an SST
-//! with no locks held, and installs the run with a short write lock
-//! whose scope is exactly the list swap. Per-shard generation order is
-//! preserved because rotation sends happen under the shard write lock
-//! (FIFO per shard) and this thread processes jobs sequentially.
+//! thread pops the shard's **oldest** immutable, sorts its entries by key
+//! and streams them into an SST with no locks held, and installs the run
+//! with a short write lock whose scope is exactly the list swap.
+//! Per-shard generation order is preserved because rotation sends happen
+//! under the shard write lock (FIFO per shard) and this thread processes
+//! jobs sequentially.
 //!
 //! On shutdown the thread drains every remaining immutable — even when
 //! paused — so `drop` never loses rotated data.
 
-use crate::sst::SstWriter;
+use crate::sst::{SstWriter, StoredValue};
 use crate::store::{KvEvent, Run, StoreInner, FLUSH_WAKE};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use helios_types::profile::{push_frame, register_thread, FrameLabel};
@@ -75,8 +76,13 @@ fn try_flush_oldest(inner: &StoreInner, idx: usize) -> Result<()> {
     let id = inner.next_sst_id.fetch_add(1, Ordering::Relaxed);
     let gen = inner.next_gen.fetch_add(1, Ordering::Relaxed);
     let path = inner.sst_path(gen, id);
+    // The memtable is unordered; an SST is sorted. This is the one place
+    // order is needed, so sort here, off the request path.
+    let mut sorted: Vec<(&[u8], &StoredValue)> =
+        imm.entries.iter().map(|(k, v)| (k.as_bytes(), v)).collect();
+    sorted.sort_unstable_by_key(|&(k, _)| k);
     let mut w = SstWriter::create(&path)?;
-    for (k, v) in &imm.entries {
+    for (k, v) in sorted {
         w.add(k, v)?;
     }
     w.finish()?;

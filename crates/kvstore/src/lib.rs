@@ -9,11 +9,13 @@
 //! * the key space is sharded by hash across `shards` independent shards,
 //!   each with its own lock (writes from data-updating threads and reads
 //!   from serving threads rarely contend);
-//! * each shard has an **active memtable** (ordered map, newest values
-//!   win); when it exceeds its budget it is *rotated* onto an immutable
-//!   list under the brief write lock and a **background flusher thread**
-//!   writes it to an immutable sorted **SST file** (bloom filter +
-//!   sparse index) — `put`/`write_batch` never touch the filesystem;
+//! * each shard has an **active memtable** (a hash table keyed by an
+//!   inline key hashed once per operation — every read is a point
+//!   lookup; newest values win); when it exceeds its budget it is
+//!   *rotated* onto an immutable list under the brief write lock and a
+//!   **background flusher thread** sorts it into an immutable **SST
+//!   file** (bloom filter + sparse index) — `put`/`write_batch` never
+//!   touch the filesystem;
 //! * `get`/`multi_get` consult active → immutables → SSTs newest →
 //!   oldest, probing the SSTs *outside* the shard lock against a
 //!   copy-on-write run-list snapshot, through a shared, sharded CLOCK
@@ -37,9 +39,11 @@ pub mod bloom;
 pub mod cache;
 mod compaction;
 mod flusher;
+mod memtable;
 pub mod sst;
 pub mod store;
 
 pub use bloom::BloomFilter;
 pub use cache::BlockCache;
+pub use memtable::{InlineKey, INLINE_KEY_CAP};
 pub use store::{EventHook, KvConfig, KvEvent, KvMemGauges, KvStats, KvStore, WriteOp};

@@ -36,12 +36,13 @@
 //! counters past the maximum found, so live runs are never clobbered.
 
 use crate::cache::BlockCache;
+use crate::memtable::{shard_of, InlineKey, Memtable};
 use crate::sst::{Sst, StoredValue};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Sender};
-use helios_types::{fx_hash_u64, MemGauge, Result, Timestamp};
+use helios_types::{MemGauge, Result, Timestamp};
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -216,13 +217,13 @@ pub(crate) struct Run {
 /// immutable list (the flusher removes exactly the one it wrote).
 pub(crate) struct ImmMemtable {
     pub(crate) seq: u64,
-    pub(crate) entries: BTreeMap<Vec<u8>, StoredValue>,
+    pub(crate) entries: Memtable,
     pub(crate) bytes: usize,
 }
 
 pub(crate) struct Shard {
     /// The mutable memtable all writes land in.
-    pub(crate) active: BTreeMap<Vec<u8>, StoredValue>,
+    pub(crate) active: Memtable,
     /// Approximate bytes in `active` only.
     pub(crate) mem_bytes: usize,
     /// Frozen memtables, newest first, awaiting the background flusher.
@@ -238,7 +239,7 @@ pub(crate) struct Shard {
 impl Shard {
     fn new(runs: Vec<Run>, mem: MemGauge) -> Self {
         Shard {
-            active: BTreeMap::new(),
+            active: Memtable::default(),
             mem_bytes: 0,
             immutables: Vec::new(),
             runs: Arc::new(runs),
@@ -249,7 +250,7 @@ impl Shard {
     /// Memtable-only lookup (active, then immutables newest → oldest);
     /// the caller holds the shard lock. SSTs are probed by the caller
     /// after dropping it.
-    fn mem_get(&self, key: &[u8]) -> Option<&StoredValue> {
+    fn mem_get(&self, key: &InlineKey) -> Option<&StoredValue> {
         if let Some(sv) = self.active.get(key) {
             return Some(sv);
         }
@@ -263,8 +264,8 @@ impl Shard {
 
     /// Insert one entry, maintaining the byte accounting. Takes the key by
     /// value so batched writers hand ownership straight to the memtable.
-    fn insert(&mut self, key: Vec<u8>, sv: StoredValue) {
-        let klen = key.len();
+    fn insert(&mut self, key: InlineKey, sv: StoredValue) {
+        let klen = key.as_bytes().len();
         let add = klen + sv.footprint();
         if let Some(old) = self.active.insert(key, sv) {
             self.mem_bytes = self.mem_bytes.saturating_sub(old.footprint());
@@ -282,8 +283,8 @@ impl Shard {
 pub enum WriteOp {
     /// Insert or overwrite a key.
     Put {
-        /// Key bytes (owned: the memtable takes them without re-copying).
-        key: Vec<u8>,
+        /// The key, already hashed (the memtable takes it as it is).
+        key: InlineKey,
         /// Value bytes.
         value: Bytes,
         /// Write timestamp (drives TTL expiry).
@@ -291,8 +292,8 @@ pub enum WriteOp {
     },
     /// Delete a key (tombstone).
     Delete {
-        /// Key bytes.
-        key: Vec<u8>,
+        /// The key, already hashed.
+        key: InlineKey,
         /// Tombstone timestamp.
         ts: Timestamp,
     },
@@ -300,30 +301,34 @@ pub enum WriteOp {
 
 impl WriteOp {
     /// A put operation.
-    pub fn put(key: impl Into<Vec<u8>>, value: Bytes, ts: Timestamp) -> Self {
+    pub fn put(key: impl AsRef<[u8]>, value: Bytes, ts: Timestamp) -> Self {
         WriteOp::Put {
-            key: key.into(),
+            key: InlineKey::new(key.as_ref()),
             value,
             ts,
         }
     }
 
     /// A delete (tombstone) operation.
-    pub fn delete(key: impl Into<Vec<u8>>, ts: Timestamp) -> Self {
+    pub fn delete(key: impl AsRef<[u8]>, ts: Timestamp) -> Self {
         WriteOp::Delete {
-            key: key.into(),
+            key: InlineKey::new(key.as_ref()),
             ts,
         }
     }
 
     /// The key this operation touches.
     pub fn key(&self) -> &[u8] {
+        self.inline_key().as_bytes()
+    }
+
+    fn inline_key(&self) -> &InlineKey {
         match self {
             WriteOp::Put { key, .. } | WriteOp::Delete { key, .. } => key,
         }
     }
 
-    fn into_parts(self) -> (Vec<u8>, StoredValue) {
+    fn into_parts(self) -> (InlineKey, StoredValue) {
         match self {
             WriteOp::Put { key, value, ts } => (key, StoredValue::live(value, ts)),
             WriteOp::Delete { key, ts } => (key, StoredValue::tombstone(ts)),
@@ -331,15 +336,26 @@ impl WriteOp {
     }
 }
 
-#[inline]
-fn shard_index_of(key: &[u8], shards: usize) -> usize {
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-    for chunk in key.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        h = fx_hash_u64(h ^ u64::from_le_bytes(w));
-    }
-    (h % shards as u64) as usize
+/// Reusable per-thread buffers of [`KvStore::multi_get_into`] (which is
+/// `&self` from any number of reader threads): at steady state a batch
+/// allocates nothing.
+#[derive(Default)]
+struct MultiGetScratch {
+    /// Hash of each input key, by input position.
+    hashes: Vec<u64>,
+    /// Shard of each input key, by input position.
+    shard_at: Vec<u32>,
+    /// Per shard, where its range of `order` ends (counts, then start
+    /// offsets, while the counting pass runs).
+    ends: Vec<u32>,
+    /// Input positions bucketed by shard; input order within a shard.
+    order: Vec<u32>,
+    /// Positions of one shard that its memtables did not resolve.
+    pending: Vec<u32>,
+}
+
+thread_local! {
+    static MULTI_GET_SCRATCH: RefCell<MultiGetScratch> = RefCell::default();
 }
 
 /// Resolve a found entry under the sticky TTL horizon. Terminal: older
@@ -389,11 +405,6 @@ pub(crate) struct StoreInner {
 }
 
 impl StoreInner {
-    #[inline]
-    pub(crate) fn shard_index(&self, key: &[u8]) -> usize {
-        shard_index_of(key, self.shards.len())
-    }
-
     pub(crate) fn sst_path(&self, gen: u64, id: u64) -> PathBuf {
         let dir = self.config.dir.as_ref().expect("hybrid mode");
         dir.join(format!("g{gen:010}-{id:010}.sst"))
@@ -492,7 +503,7 @@ impl StoreInner {
             shard.active.retain(|k, v| {
                 let keep = if v.tombstone { has_below } else { v.ts >= h };
                 if !keep {
-                    freed += k.len() + v.footprint();
+                    freed += k.as_bytes().len() + v.footprint();
                 }
                 keep
             });
@@ -583,7 +594,7 @@ impl KvStore {
                     continue;
                 }
                 let first = sst.first_key().expect("non-empty SST has a first key");
-                let idx = shard_index_of(first, config.shards);
+                let idx = shard_of(InlineKey::hash_of(first), config.shards);
                 per_shard[idx].push(Run {
                     gen,
                     id,
@@ -679,10 +690,11 @@ impl KvStore {
     }
 
     fn write(&self, key: &[u8], sv: StoredValue) -> Result<()> {
-        let idx = self.inner.shard_index(key);
+        let key = InlineKey::new(key);
+        let idx = key.shard(self.inner.shards.len());
         let stall = {
             let mut shard = self.inner.shards[idx].write();
-            shard.insert(key.to_vec(), sv);
+            shard.insert(key, sv);
             self.inner.over_budget_locked(idx, &mut shard)
         };
         if stall {
@@ -697,11 +709,11 @@ impl KvStore {
     /// [`KvStore::put`]/[`KvStore::delete`] calls.
     pub fn write_batch(&self, ops: impl IntoIterator<Item = WriteOp>) -> Result<()> {
         // Group by shard, preserving input order within each group.
-        let mut groups: Vec<Vec<WriteOp>> =
-            (0..self.inner.shards.len()).map(|_| Vec::new()).collect();
+        let shards = self.inner.shards.len();
+        let mut groups: Vec<Vec<WriteOp>> = (0..shards).map(|_| Vec::new()).collect();
         let mut any = false;
         for op in ops {
-            groups[self.inner.shard_index(op.key())].push(op);
+            groups[op.inline_key().shard(shards)].push(op);
             any = true;
         }
         if !any {
@@ -731,10 +743,11 @@ impl KvStore {
     /// list is copy-on-write).
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         let horizon = self.inner.ttl_horizon.load(Ordering::Relaxed);
-        let idx = self.inner.shard_index(key);
+        let probe = InlineKey::new(key);
+        let idx = probe.shard(self.inner.shards.len());
         let runs = {
             let shard = self.inner.shards[idx].read();
-            if let Some(sv) = shard.mem_get(key) {
+            if let Some(sv) = shard.mem_get(&probe) {
                 return Ok(resolve(sv, horizon));
             }
             if shard.runs.is_empty() {
@@ -751,23 +764,27 @@ impl KvStore {
         Ok(None)
     }
 
-    /// Resolve one shard's group of keys: memtables under the read lock,
-    /// then SSTs lock-free against a run-list snapshot.
+    /// Resolve one shard's group of keys — `positions` into `keys`, with
+    /// their `hashes` — from the memtables under one read lock, then from
+    /// the SSTs lock-free against a run-list snapshot.
     fn lookup_group<K: AsRef<[u8]>>(
         &self,
         idx: usize,
         positions: &[u32],
+        hashes: &[u64],
         keys: &[K],
         out: &mut [Option<Bytes>],
+        pending: &mut Vec<u32>,
     ) -> Result<()> {
         let horizon = self.inner.ttl_horizon.load(Ordering::Relaxed);
-        let mut pending: Vec<u32> = Vec::new();
+        pending.clear();
         let runs = {
             let shard = self.inner.shards[idx].read();
             for &pos in positions {
-                let key = keys[pos as usize].as_ref();
-                match shard.mem_get(key) {
-                    Some(sv) => out[pos as usize] = resolve(sv, horizon),
+                let at = pos as usize;
+                let probe = InlineKey::with_hash(hashes[at], keys[at].as_ref());
+                match shard.mem_get(&probe) {
+                    Some(sv) => out[at] = resolve(sv, horizon),
                     None => pending.push(pos),
                 }
             }
@@ -778,7 +795,7 @@ impl KvStore {
             }
         };
         if let Some(runs) = runs {
-            for pos in pending {
+            for &pos in pending.iter() {
                 let key = keys[pos as usize].as_ref();
                 let hashes = crate::bloom::hash_pair(key);
                 for run in runs.iter() {
@@ -794,7 +811,7 @@ impl KvStore {
 
     /// Batched point lookup: values come back in input order (duplicates
     /// allowed), with keys grouped by shard so each shard's read lock is
-    /// taken at most once for the whole batch. Equivalent to — but much
+    /// taken at most once for the whole batch. Equivalent to — but
     /// cheaper than — `keys.map(|k| store.get(k))`; the equivalence is
     /// property-tested in `tests/model.rs`.
     pub fn multi_get<K: AsRef<[u8]>>(&self, keys: &[K]) -> Result<Vec<Option<Bytes>>> {
@@ -804,13 +821,14 @@ impl KvStore {
     }
 
     /// [`KvStore::multi_get`] into a caller-owned output buffer: `out` is
-    /// cleared and refilled in input order, reusing its capacity, so a
-    /// steady-state reader (the serve loop) allocates no result vector
-    /// per batch. The returned values are *borrowed granules*: each
-    /// `Bytes` is a refcounted handle onto the shared allocation it was
-    /// resolved from — a decoded block-cache granule entry or a memtable
-    /// value — never a copy, so holding them pins those allocations until
-    /// dropped.
+    /// cleared and refilled in input order, reusing its capacity, and the
+    /// shard grouping is a counting pass over per-thread scratch, so a
+    /// steady-state reader (the serve loop) allocates nothing per batch
+    /// (keys longer than [`crate::INLINE_KEY_CAP`] excepted).
+    /// The returned values are *borrowed granules*: each `Bytes` is a
+    /// refcounted handle onto the shared allocation it was resolved from
+    /// — a decoded block-cache granule entry or a memtable value — never
+    /// a copy, so holding them pins those allocations until dropped.
     pub fn multi_get_into<K: AsRef<[u8]>>(
         &self,
         keys: &[K],
@@ -821,35 +839,52 @@ impl KvStore {
         if keys.is_empty() {
             return Ok(());
         }
-        if self.inner.shards.len() == 1 {
-            let positions: Vec<u32> = (0..keys.len() as u32).collect();
-            return self.lookup_group(0, &positions, keys, out);
-        }
-        if keys.len() == 1 {
-            let idx = self.inner.shard_index(keys[0].as_ref());
-            return self.lookup_group(idx, &[0], keys, out);
-        }
-        // (shard, input position), sorted so each shard forms one run.
-        let mut order: Vec<(u32, u32)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (self.inner.shard_index(k.as_ref()) as u32, i as u32))
-            .collect();
-        order.sort_unstable();
-        let mut positions: Vec<u32> = Vec::new();
-        let mut start = 0usize;
-        while start < order.len() {
-            let shard_idx = order[start].0;
-            let mut end = start + 1;
-            while end < order.len() && order[end].0 == shard_idx {
-                end += 1;
+        let shards = self.inner.shards.len();
+        MULTI_GET_SCRATCH.with(|scratch| {
+            let MultiGetScratch {
+                hashes,
+                shard_at,
+                ends,
+                order,
+                pending,
+            } = &mut *scratch.borrow_mut();
+            // Hash every key once and count the keys of each shard.
+            hashes.clear();
+            shard_at.clear();
+            ends.clear();
+            ends.resize(shards, 0);
+            for key in keys {
+                let hash = InlineKey::hash_of(key.as_ref());
+                let shard = shard_of(hash, shards);
+                hashes.push(hash);
+                shard_at.push(shard as u32);
+                ends[shard] += 1;
             }
-            positions.clear();
-            positions.extend(order[start..end].iter().map(|&(_, pos)| pos));
-            self.lookup_group(shard_idx as usize, &positions, keys, out)?;
-            start = end;
-        }
-        Ok(())
+            // Counts become start offsets; placing each position advances
+            // its shard's offset, which therefore finishes as its end.
+            let mut next = 0u32;
+            for end in ends.iter_mut() {
+                let count = *end;
+                *end = next;
+                next += count;
+            }
+            order.clear();
+            order.resize(keys.len(), 0);
+            for (pos, &shard) in shard_at.iter().enumerate() {
+                let slot = &mut ends[shard as usize];
+                order[*slot as usize] = pos as u32;
+                *slot += 1;
+            }
+            let mut start = 0usize;
+            for (idx, &end) in ends.iter().enumerate() {
+                let end = end as usize;
+                if end > start {
+                    self.lookup_group(idx, &order[start..end], hashes, keys, out, pending)?;
+                }
+                start = end;
+            }
+            Ok(())
+        })
     }
 
     /// Does the key exist (live)?
@@ -925,11 +960,6 @@ impl KvStore {
             crate::compaction::merge_shard(&self.inner, idx, usize::MAX, expire_before)?;
         }
         Ok(())
-    }
-
-    /// Back-compat alias for [`KvStore::compact_blocking`].
-    pub fn compact(&self, expire_before: Option<Timestamp>) -> Result<()> {
-        self.compact_blocking(expire_before)
     }
 
     /// Aggregate size statistics.
@@ -1709,6 +1739,119 @@ mod tests {
         );
         drop(kv);
         assert_eq!(gauges.memtable.get(), 0);
+    }
+
+    #[test]
+    fn mem_accounting_is_key_length_plus_value_footprint() {
+        // The ledger counts what the caller stored — key bytes plus
+        // `StoredValue::footprint` — not how the table lays it out, so it
+        // reads the same whatever the memtable's representation: inline
+        // keys, a spilled key, overwrites, tombstones, expiry.
+        let gauges = KvMemGauges::default();
+        let mut config = KvConfig::in_memory(4);
+        config.mem = gauges.clone();
+        let kv = KvStore::open(config).unwrap();
+        // key -> (value length, timestamp); a tombstone has length 0.
+        let mut oracle: std::collections::BTreeMap<Vec<u8>, (usize, u64)> = Default::default();
+        let long_key = vec![7u8; crate::INLINE_KEY_CAP + 9];
+        let mut sample_key = vec![0u8, 1];
+        sample_key.extend_from_slice(&9u64.to_be_bytes());
+        let steps: Vec<(Vec<u8>, Option<usize>, u64)> = vec![
+            (3u64.to_be_bytes().to_vec(), Some(5), 10),
+            (sample_key.clone(), Some(100), 20),
+            (3u64.to_be_bytes().to_vec(), Some(50), 30), // overwrite, bigger
+            (sample_key, None, 40),                      // tombstone over a value
+            (long_key, Some(7), 50),                     // spills to the heap
+            (4u64.to_be_bytes().to_vec(), None, 60),     // tombstone of an absent key
+            (5u64.to_be_bytes().to_vec(), Some(0), 70),  // empty value
+        ];
+        let check = |oracle: &std::collections::BTreeMap<Vec<u8>, (usize, u64)>| {
+            let want: usize = oracle
+                .iter()
+                .map(|(k, (vlen, _))| k.len() + std::mem::size_of::<StoredValue>() + vlen)
+                .sum();
+            let st = kv.stats();
+            assert_eq!(st.mem_entries, oracle.len());
+            assert_eq!(st.mem_bytes, want);
+            assert_eq!(gauges.memtable.get(), want as i64);
+        };
+        for (key, value, ts) in steps {
+            match value {
+                Some(len) => kv
+                    .put(&key, Bytes::from(vec![1u8; len]), Timestamp(ts))
+                    .unwrap(),
+                None => kv.delete(&key, Timestamp(ts)).unwrap(),
+            }
+            oracle.insert(key, (value.unwrap_or(0), ts));
+            check(&oracle);
+        }
+        // Memory mode has nothing below the memtable: expiry drops every
+        // tombstone and every value older than the horizon.
+        kv.expire_before(Timestamp(45)).unwrap();
+        let tombstones = [40u64, 60];
+        oracle.retain(|_, (_, ts)| *ts >= 45 && !tombstones.contains(ts));
+        assert_eq!(oracle.len(), 2);
+        check(&oracle);
+        drop(kv);
+        assert_eq!(gauges.memtable.get(), 0);
+    }
+
+    #[test]
+    fn flushed_sst_is_sorted_whatever_the_insert_order() {
+        // The memtable is unordered; the flusher owes the SST its order.
+        let n = 1000u64;
+        let descending: Vec<u64> = (0..n).rev().collect();
+        // 7919 is coprime to 1000: a fixed shuffle of 0..n.
+        let shuffled: Vec<u64> = (0..n).map(|i| (i * 7919) % n).collect();
+        for (name, order) in [("sorted-desc", descending), ("sorted-rand", shuffled)] {
+            let dir = tmpdir(name);
+            let kv = KvStore::open(KvConfig::hybrid(2, 1 << 30, dir.clone())).unwrap();
+            for &i in &order {
+                kv.put(&i.to_be_bytes(), Bytes::from(format!("v{i}")), Timestamp(i))
+                    .unwrap();
+            }
+            kv.flush().unwrap();
+            let mut seen = 0u64;
+            for lock in &kv.inner.shards {
+                let runs = Arc::clone(&lock.read().runs);
+                for run in runs.iter() {
+                    let entries = run.sst.scan().unwrap();
+                    assert!(
+                        entries.windows(2).all(|w| w[0].0 < w[1].0),
+                        "{name}: SST keys must be strictly ascending"
+                    );
+                    seen += entries.len() as u64;
+                }
+            }
+            assert_eq!(seen, n, "{name}: every key reached an SST");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn multi_get_with_duplicates_spanning_every_shard() {
+        let shards = 8;
+        let kv = KvStore::open(KvConfig::in_memory(shards)).unwrap();
+        let n = 400u64;
+        for i in 0..n {
+            kv.put(&i.to_be_bytes(), Bytes::from(format!("v{i}")), Timestamp(i))
+                .unwrap();
+        }
+        // Hits, misses (ids past n) and every hit twice, interleaved so
+        // no shard's keys are adjacent in the input.
+        let keys: Vec<[u8; 8]> = (0..n + 40)
+            .chain((0..n).rev())
+            .map(|i| i.to_be_bytes())
+            .collect();
+        let mut touched = vec![false; shards];
+        for key in &keys {
+            touched[InlineKey::new(key).shard(shards)] = true;
+        }
+        assert!(touched.iter().all(|&t| t), "the batch spans every shard");
+        let got = kv.multi_get(&keys).unwrap();
+        let want: Vec<Option<Bytes>> = keys.iter().map(|k| kv.get(k).unwrap()).collect();
+        assert_eq!(got, want);
+        assert_eq!(got.iter().filter(|v| v.is_none()).count(), 40);
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! Model-based testing: the LSM store must behave exactly like a
 //! `BTreeMap` reference model under arbitrary interleavings of put,
 //! delete, flush and compact — in memory mode and hybrid (disk) mode.
+//!
+//! Key ids map to the key shapes the memtable distinguishes (see
+//! [`key_bytes`]): the serving caches' 8- and 10-byte big-endian ids,
+//! which it stores inline, a short key, and one longer than the inline
+//! capacity, which spills to the heap.
 
 use bytes::Bytes;
-use helios_kvstore::{KvConfig, KvStore, WriteOp};
+use helios_kvstore::{KvConfig, KvStore, WriteOp, INLINE_KEY_CAP};
 use helios_types::Timestamp;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -23,15 +28,33 @@ enum Op {
     Compact,
 }
 
+/// Key ids in play.
+const KEYS: u16 = 64;
+
+/// The bytes of key id `k`, cycling through four shapes: a feature key
+/// (8-byte big-endian id), a sample key (2-byte hop + 8-byte big-endian
+/// id), a 2-byte key, and a key too long to store inline. Ids are
+/// sequential, so the big-endian shapes differ only in their last byte —
+/// the low-entropy case a table hash must spread.
+fn key_bytes(k: u16) -> Vec<u8> {
+    let id = u64::from(k).to_be_bytes();
+    match k % 4 {
+        0 => id.to_vec(),
+        1 => [&1u16.to_be_bytes()[..], &id[..]].concat(),
+        2 => k.to_be_bytes().to_vec(),
+        _ => [&[0xEE; INLINE_KEY_CAP][..], &id[..]].concat(),
+    }
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (any::<u16>(), proptest::collection::vec(any::<u8>(), 0..24)).prop_map(|(k, v)| Op::Put(k % 64, v)),
-        2 => any::<u16>().prop_map(|k| Op::Delete(k % 64)),
-        3 => any::<u16>().prop_map(|k| Op::Get(k % 64)),
-        2 => proptest::collection::vec(any::<u16>().prop_map(|k| k % 64), 0..20)
+        4 => (any::<u16>(), proptest::collection::vec(any::<u8>(), 0..24)).prop_map(|(k, v)| Op::Put(k % KEYS, v)),
+        2 => any::<u16>().prop_map(|k| Op::Delete(k % KEYS)),
+        3 => any::<u16>().prop_map(|k| Op::Get(k % KEYS)),
+        2 => proptest::collection::vec(any::<u16>().prop_map(|k| k % KEYS), 0..20)
             .prop_map(Op::MultiGet),
         2 => proptest::collection::vec(
-            (any::<u16>().prop_map(|k| k % 64),
+            (any::<u16>().prop_map(|k| k % KEYS),
              any::<bool>(),
              proptest::collection::vec(any::<u8>(), 0..16)),
             0..16,
@@ -67,21 +90,21 @@ fn run_model_with(
         *ts += 1;
         match op {
             Op::Put(k, v) => {
-                kv.put(&k.to_be_bytes(), Bytes::from(v.clone()), Timestamp(*ts))
+                kv.put(&key_bytes(*k), Bytes::from(v.clone()), Timestamp(*ts))
                     .unwrap();
                 model.insert(*k, v.clone());
             }
             Op::Delete(k) => {
-                kv.delete(&k.to_be_bytes(), Timestamp(*ts)).unwrap();
+                kv.delete(&key_bytes(*k), Timestamp(*ts)).unwrap();
                 model.remove(k);
             }
             Op::Get(k) => {
-                let got = kv.get(&k.to_be_bytes()).unwrap();
+                let got = kv.get(&key_bytes(*k)).unwrap();
                 let want = model.get(k).map(|v| Bytes::from(v.clone()));
                 assert_eq!(got, want, "get({k}) diverged after {ts} ops");
             }
             Op::MultiGet(ks) => {
-                let keys: Vec<[u8; 2]> = ks.iter().map(|k| k.to_be_bytes()).collect();
+                let keys: Vec<Vec<u8>> = ks.iter().map(|k| key_bytes(*k)).collect();
                 let got = kv.multi_get(&keys).unwrap();
                 // multi_get(keys) ≡ keys.map(get), in input order.
                 let want: Vec<Option<Bytes>> = keys.iter().map(|k| kv.get(k).unwrap()).collect();
@@ -99,14 +122,14 @@ fn run_model_with(
                     match v {
                         Some(v) => {
                             ops.push(WriteOp::put(
-                                k.to_be_bytes().to_vec(),
+                                key_bytes(*k),
                                 Bytes::from(v.clone()),
                                 Timestamp(*ts),
                             ));
                             model.insert(*k, v.clone());
                         }
                         None => {
-                            ops.push(WriteOp::delete(k.to_be_bytes().to_vec(), Timestamp(*ts)));
+                            ops.push(WriteOp::delete(key_bytes(*k), Timestamp(*ts)));
                             model.remove(k);
                         }
                     }
@@ -116,7 +139,7 @@ fn run_model_with(
             Op::Flush => kv.flush().unwrap(),
             Op::Compact => {
                 if allow_compact {
-                    kv.compact(None).unwrap();
+                    kv.compact_blocking(None).unwrap();
                 }
             }
         }
@@ -125,8 +148,8 @@ fn run_model_with(
 
 /// Full audit: every model key reads back, every other key is absent.
 fn audit(kv: &KvStore, model: &BTreeMap<u16, Vec<u8>>) {
-    for k in 0u16..64 {
-        let got = kv.get(&k.to_be_bytes()).unwrap();
+    for k in 0..KEYS {
+        let got = kv.get(&key_bytes(k)).unwrap();
         let want = model.get(&k).map(|v| Bytes::from(v.clone()));
         assert_eq!(got, want, "final audit of key {k}");
     }
@@ -191,15 +214,17 @@ proptest! {
 
     /// The batched read path must be observationally identical to the
     /// point-lookup path: `multi_get(keys) ≡ keys.map(get)` over a random
-    /// workload of puts, deletes, flushes, and duplicate query keys.
+    /// workload of puts, deletes, flushes, and a query that holds every
+    /// key id at least once — so it spans every shard — after a random
+    /// run of ids, which are therefore duplicates.
     #[test]
     fn multi_get_equals_sequential_gets(
         ops in proptest::collection::vec(op_strategy(), 1..120),
-        query in proptest::collection::vec(any::<u16>().prop_map(|k| k % 64), 0..64),
+        query in proptest::collection::vec(any::<u16>().prop_map(|k| k % KEYS), 0..64),
     ) {
         let kv = KvStore::open(KvConfig::in_memory(4)).unwrap();
         run_model(&kv, &ops, true);
-        let keys: Vec<[u8; 2]> = query.iter().map(|k| k.to_be_bytes()).collect();
+        let keys: Vec<Vec<u8>> = query.into_iter().chain(0..KEYS).map(key_bytes).collect();
         let batched = kv.multi_get(&keys).unwrap();
         let sequential: Vec<Option<Bytes>> =
             keys.iter().map(|k| kv.get(k).unwrap()).collect();

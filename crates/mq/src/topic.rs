@@ -121,21 +121,14 @@ impl Topic {
     /// partitions in input order (per-key order is preserved), but the
     /// produce sequence is bumped and consumers are woken **once** for
     /// the whole batch rather than once per record. Returns the number
-    /// of records produced.
+    /// of records produced. On a mid-batch error the records already
+    /// appended are still announced before the error is returned.
     pub fn produce_many(&self, records: impl IntoIterator<Item = (u64, Bytes)>) -> Result<usize> {
-        let mut n = 0usize;
-        for (key, payload) in records {
-            let pid = self.route(key);
-            self.partition(pid)?.append(key, payload)?;
-            n += 1;
-        }
-        if n > 0 {
-            let mut seq = self.produce_seq.lock();
-            *seq += n as u64;
-            drop(seq);
-            self.produced.notify_all();
-        }
-        Ok(n)
+        self.produce_many_to(
+            records
+                .into_iter()
+                .map(|(key, payload)| (self.route(key), key, payload)),
+        )
     }
 
     /// [`Topic::produce_many`] with explicit partitions per record (for
@@ -146,17 +139,26 @@ impl Topic {
         records: impl IntoIterator<Item = (PartitionId, u64, Bytes)>,
     ) -> Result<usize> {
         let mut n = 0usize;
+        let mut failed = None;
         for (pid, key, payload) in records {
-            self.partition(pid)?.append(key, payload)?;
-            n += 1;
+            match self.partition(pid).and_then(|p| p.append(key, payload)) {
+                Ok(_) => n += 1,
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
         }
+        // Announce whatever landed on every exit path: consumers must not
+        // wait for the next produce (or a poll timeout) to see a prefix
+        // that is already in the log.
         if n > 0 {
             let mut seq = self.produce_seq.lock();
             *seq += n as u64;
             drop(seq);
             self.produced.notify_all();
         }
-        Ok(n)
+        failed.map_or(Ok(n), Err)
     }
 
     pub(crate) fn restore_record(&self, pid: PartitionId, key: u64, payload: Bytes) -> Result<()> {
@@ -298,6 +300,27 @@ mod tests {
         // Empty batch: no sequence bump.
         assert_eq!(t.produce_many(Vec::new()).unwrap(), 0);
         assert_eq!(t.produce_seq(), seq0 + 60);
+    }
+
+    #[test]
+    fn failed_batch_still_announces_its_appended_prefix() {
+        use std::sync::Arc;
+        let t = Arc::new(Topic::new("t", &TopicConfig::in_memory(2)).unwrap());
+        let seq0 = t.produce_seq();
+        let t2 = Arc::clone(&t);
+        // Whichever side runs first, the waiter must come back with the
+        // bumped sequence well before its timeout.
+        let waiter = std::thread::spawn(move || t2.wait_for_produce(seq0, Duration::from_secs(5)));
+        let batch = vec![
+            (PartitionId(0), 1, payload(1)),
+            (PartitionId(1), 2, payload(2)),
+            (PartitionId(9), 3, payload(3)), // no such partition
+            (PartitionId(0), 4, payload(4)), // never reached
+        ];
+        assert!(t.produce_many_to(batch).is_err());
+        assert_eq!(t.total_len(), 2, "the prefix before the error landed");
+        assert_eq!(t.produce_seq(), seq0 + 2, "and is announced");
+        assert_eq!(waiter.join().unwrap(), seq0 + 2);
     }
 
     #[test]

@@ -91,16 +91,22 @@ impl NetService for ServeHostService {
                         message: format!("this process hosts sew {}, not {sew}", self.sew),
                     };
                 }
-                let count = records.len() as u64;
-                for rec in records {
-                    if let Err(e) = self.topic.produce_to(rec.partition, rec.key, rec.payload) {
-                        return Payload::Error {
-                            code: ErrCode::from_error(&e),
-                            message: e.to_string(),
-                        };
-                    }
+                // One sequence bump and one wake-up for the whole relayed
+                // batch, not one per record.
+                let landed = self.topic.produce_many_to(
+                    records
+                        .into_iter()
+                        .map(|rec| (rec.partition, rec.key, rec.payload)),
+                );
+                match landed {
+                    Ok(count) => Payload::Ack {
+                        count: count as u64,
+                    },
+                    Err(e) => Payload::Error {
+                        code: ErrCode::from_error(&e),
+                        message: e.to_string(),
+                    },
                 }
-                Payload::Ack { count }
             }
             Payload::HealthReq => Payload::HealthOk {
                 healthy: true,
