@@ -3,9 +3,9 @@
 //! concurrency. Paper result: up to 184× (TopK) / 47× (Random) over the
 //! baselines, with Helios flat across strategies.
 //!
-//! The multicore extension re-runs Helios with clients and serve lanes
-//! pinned across a cores sweep (queued path, so the lane pool is what
-//! scales), reporting QPS per core count.
+//! The multicore extension re-runs Helios with N pinned threads calling
+//! `serve_encoded` directly — what N connections do to a `NetServer` —
+//! across a cores sweep, reporting QPS per core count.
 //!
 //! `HELIOS_BENCH_QUICK=1` shrinks scales, windows, and the preset matrix
 //! to a CI smoke.
@@ -102,41 +102,35 @@ fn main() {
     }
     t.print();
 
-    // Multicore extension: Helios-only cores sweep on the queued path,
-    // lanes and clients pinned, threads tracking cores.
+    // Multicore extension: Helios-only cores sweep, serving threads
+    // pinned and tracking cores.
     let cores = available_cores();
     let mut m = helios_metrics::Table::new(
         format!(
-            "Fig. 9 (multicore): Helios queued serving vs cores (INTER Random, pinned, host has {cores} core(s))"
+            "Fig. 9 (multicore): Helios serving vs cores (INTER Random, pinned, host has {cores} core(s))"
         ),
-        &["cores", "threads", "Conc.", "Helios QPS", "P99 (ms)"],
+        &["cores", "threads", "Helios QPS", "P99 (ms)"],
     );
     let core_sweep: &[usize] = if quick() { &[1, 2] } else { &[1, 2, 4, 8] };
     for &n in core_sweep {
-        let mut config = HeliosConfig::with_workers(2, 1);
-        config.serving_threads = n;
-        config.pin_serving_threads = true;
         let helios = setup_helios(
             Preset::Inter,
             scale,
             SamplingStrategy::Random,
             false,
-            config,
+            HeliosConfig::with_workers(2, 1),
         );
-        let conc = if quick() { 8 } else { 32 };
-        let out = drive_pinned(conc, n.min(cores.max(1)), window(), |c, seq| {
-            let seed = helios.seeds[(seq as usize * 31 + c * 7) % helios.seeds.len()];
-            let _ = helios.deployment.serve_queued(seed).unwrap();
+        let out = drive_pinned(n, n.min(cores.max(1)), window(), |c, seq| {
+            helios.serve_encoded(helios.seeds[(seq as usize * 31 + c * 7) % helios.seeds.len()]);
         });
         m.row(&[
             n.min(cores.max(1)).to_string(),
             n.to_string(),
-            conc.to_string(),
             format!("{:.0}", out.qps),
             format!("{:.3}", out.p99_ms),
         ]);
         records.push(BenchRecord::capture(
-            format!("multicore/threads{n}/conc{conc}"),
+            format!("multicore/threads{n}"),
             &out,
             &helios,
         ));

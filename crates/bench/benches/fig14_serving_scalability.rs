@@ -1,19 +1,14 @@
-//! Fig. 14: scalability of serving — (a) scale-up with serving threads
-//! per worker, (b) scale-out with serving workers, plus the multicore
-//! extensions: (c) a threads×cores sweep with client/lane core pinning
-//! and (d) hot-seed coalescing on/off under the FIN skew. Requests go
-//! through the workers' per-lane serve pools (`serve_queued`) so queueing
-//! delay is part of the measured latency, as in the paper.
-//!
-//! Simulated-parallel QPS = served ÷ (aggregate busy time ÷ total serving
-//! threads): the rate a deployment with one core per serving thread would
-//! sustain. On hosts with fewer cores than lanes the wall QPS column
-//! under-reports and the simulated column is the honest scalability read.
+//! Fig. 14: scalability of serving — (a) scale-up with serving threads,
+//! (b) scale-out with serving workers, plus the multicore extension
+//! (c): a threads×cores sweep with the threads pinned. A serving thread
+//! is a caller's thread — one per connection in the deployed system — so
+//! each sweep drives N threads calling `serve_encoded` directly, which is
+//! what N connections do to a `NetServer`.
 //!
 //! `HELIOS_BENCH_QUICK=1` shrinks scales, windows, and sweep points to a
 //! CI smoke that exercises every code path in seconds.
 
-use helios_bench::{drive, drive_pinned, setup_helios, HeliosBench};
+use helios_bench::{drive, drive_pinned, setup_helios, BenchOutcome};
 use helios_core::HeliosConfig;
 use helios_datagen::Preset;
 use helios_query::SamplingStrategy;
@@ -36,180 +31,81 @@ fn window() -> Duration {
     Duration::from_millis(if quick() { 300 } else { 2000 })
 }
 
-const CONCURRENCY: usize = 32;
-
-fn total_stats(bench: &HeliosBench) -> (u64, u64, u64, u64) {
-    let workers = bench.deployment.serving_workers();
-    let busy_ns: u64 = workers.iter().map(|w| w.serve_latency().snapshot().sum).sum();
-    let served: u64 = workers.iter().map(|w| w.served()).sum();
-    let hits: u64 = workers.iter().map(|w| w.coalesce_hits()).sum();
-    let overflow: u64 = workers.iter().map(|w| w.coalesce_overflow()).sum();
-    (busy_ns, served, hits, overflow)
-}
-
-fn run(workers: usize, serving_threads: usize, table: &mut helios_metrics::Table, label: String) {
-    let mut config = HeliosConfig::with_workers(2, workers);
-    config.serving_threads = serving_threads;
+/// `threads` serving threads over `workers` serving workers (INTER
+/// Random), pinned round-robin over `pin_cores` cores when given.
+fn run(workers: usize, threads: usize, pin_cores: Option<usize>) -> BenchOutcome {
     let bench = setup_helios(
         Preset::Inter,
         scale(),
         SamplingStrategy::Random,
         false,
-        config,
+        HeliosConfig::with_workers(2, workers),
     );
-    let out = drive(CONCURRENCY, window(), |c, seq| {
-        let seed = bench.seeds[(seq as usize * 29 + c * 11) % bench.seeds.len()];
-        let _ = bench.deployment.serve_queued(seed).unwrap();
-    });
-    let (busy_ns, served, _, _) = total_stats(&bench);
-    let total_threads = (workers * serving_threads) as f64;
-    let simulated = served as f64 / ((busy_ns as f64 / 1e9) / total_threads).max(1e-9);
-    table.row(&[
-        label,
-        format!("{:.0}", out.qps),
-        format!("{:.0}", simulated),
-        format!("{:.3}", out.avg_ms),
-        format!("{:.3}", out.p99_ms),
-    ]);
+    let op = |c: usize, seq: u64| {
+        bench.serve_encoded(bench.seeds[(seq as usize * 29 + c * 11) % bench.seeds.len()]);
+    };
+    let out = match pin_cores {
+        Some(cores) => drive_pinned(threads, cores, window(), op),
+        None => drive(threads, window(), op),
+    };
     bench.shutdown();
+    out
 }
 
-/// Fig. 14(c): threads×cores sweep with pinning. One serving worker so
-/// lane count == serving threads; lane `t` pins to core `t % cores` and
-/// the driver's clients pin to the same core set.
-fn run_multicore(
-    serving_threads: usize,
-    cores: usize,
-    table: &mut helios_metrics::Table,
-) {
-    let mut config = HeliosConfig::with_workers(2, 1);
-    config.serving_threads = serving_threads;
-    config.pin_serving_threads = true;
-    let bench = setup_helios(
-        Preset::Inter,
-        scale(),
-        SamplingStrategy::Random,
-        false,
-        config,
-    );
-    let out = drive_pinned(CONCURRENCY, cores, window(), |c, seq| {
-        let seed = bench.seeds[(seq as usize * 29 + c * 11) % bench.seeds.len()];
-        let _ = bench.deployment.serve_queued(seed).unwrap();
-    });
-    let (busy_ns, served, _, _) = total_stats(&bench);
-    let simulated = served as f64 / ((busy_ns as f64 / 1e9) / serving_threads as f64).max(1e-9);
-    table.row(&[
-        format!("{serving_threads}"),
-        format!("{cores}"),
+fn row(label: Vec<String>, out: &BenchOutcome) -> Vec<String> {
+    let mut row = label;
+    row.extend([
         format!("{:.0}", out.qps),
-        format!("{:.0}", simulated),
         format!("{:.3}", out.avg_ms),
         format!("{:.3}", out.p99_ms),
     ]);
-    bench.shutdown();
-}
-
-/// Fig. 14(d): hot-seed serving under the FIN supernode skew with
-/// single-flight coalescing on vs off. Every client hammers one hot seed
-/// 75% of the time and a uniform mix otherwise.
-fn run_hot_seed(coalesce: bool, table: &mut helios_metrics::Table) {
-    let mut config = HeliosConfig::with_workers(2, 1);
-    config.serving_threads = if quick() { 2 } else { 4 };
-    config.coalesce_max_waiters = if coalesce { 16 } else { 0 };
-    let bench = setup_helios(
-        Preset::Fin,
-        scale(),
-        SamplingStrategy::TopK,
-        false,
-        config,
-    );
-    let hot = bench.seeds[0];
-    let out = drive(CONCURRENCY, window(), |c, seq| {
-        let seed = if seq % 4 != 3 {
-            hot
-        } else {
-            bench.seeds[(seq as usize * 29 + c * 11) % bench.seeds.len()]
-        };
-        let _ = bench.deployment.serve_queued(seed).unwrap();
-    });
-    let (busy_ns, served, hits, overflow) = total_stats(&bench);
-    let lanes = bench.deployment.serving_workers().len() * if quick() { 2 } else { 4 };
-    let simulated = served as f64 / ((busy_ns as f64 / 1e9) / lanes as f64).max(1e-9);
-    table.row(&[
-        (if coalesce { "on" } else { "off" }).into(),
-        format!("{:.0}", out.qps),
-        format!("{:.0}", simulated),
-        format!("{:.3}", out.avg_ms),
-        format!("{:.3}", out.p99_ms),
-        hits.to_string(),
-        overflow.to_string(),
-    ]);
-    bench.shutdown();
+    row
 }
 
 fn main() {
     let threads_sweep: &[usize] = if quick() { &[2, 4] } else { &[2, 4, 8, 16] };
     let mut a = helios_metrics::Table::new(
-        "Fig. 14(a): serving scale-up (2 serving workers, varying serving threads, INTER Random, conc. 32)",
-        &["threads/worker", "wall QPS", "simulated QPS", "avg (ms)", "P99 (ms)"],
+        "Fig. 14(a): serving scale-up (2 serving workers, varying serving threads, INTER Random)",
+        &["threads", "QPS", "avg (ms)", "P99 (ms)"],
     );
     for &threads in threads_sweep {
-        run(2, threads, &mut a, threads.to_string());
+        a.row(&row(vec![threads.to_string()], &run(2, threads, None)));
     }
     a.print();
 
     let workers_sweep: &[usize] = if quick() { &[1, 2] } else { &[1, 2, 4] };
+    let threads = if quick() { 4 } else { 8 };
     let mut b = helios_metrics::Table::new(
-        "Fig. 14(b): serving scale-out (8 threads/worker, varying serving workers)",
-        &[
-            "workers",
-            "wall QPS",
-            "simulated QPS",
-            "avg (ms)",
-            "P99 (ms)",
-        ],
+        format!(
+            "Fig. 14(b): serving scale-out ({threads} serving threads, varying serving workers)"
+        ),
+        &["workers", "QPS", "avg (ms)", "P99 (ms)"],
     );
     for &workers in workers_sweep {
-        run(workers, if quick() { 4 } else { 8 }, &mut b, workers.to_string());
+        b.row(&row(
+            vec![workers.to_string()],
+            &run(workers, threads, None),
+        ));
     }
     b.print();
 
     let cores = available_cores();
     let mut c = helios_metrics::Table::new(
         format!(
-            "Fig. 14(c): multicore sweep (1 serving worker, lanes+clients pinned, host has {cores} core(s))"
+            "Fig. 14(c): multicore sweep (1 serving worker, threads pinned, host has {cores} core(s))"
         ),
-        &[
-            "threads",
-            "cores",
-            "wall QPS",
-            "simulated QPS",
-            "avg (ms)",
-            "P99 (ms)",
-        ],
+        &["threads", "cores", "QPS", "avg (ms)", "P99 (ms)"],
     );
     let core_sweep: &[usize] = if quick() { &[1, 2] } else { &[1, 2, 4, 8] };
     for &n in core_sweep {
-        // Threads track cores: the near-N× claim is N lanes on N cores.
-        run_multicore(n, n.min(cores.max(1)), &mut c);
+        // Threads track cores: the near-N× claim is N threads on N cores.
+        let pinned = n.min(cores.max(1));
+        c.row(&row(
+            vec![n.to_string(), pinned.to_string()],
+            &run(1, n, Some(pinned)),
+        ));
     }
     c.print();
-
-    let mut d = helios_metrics::Table::new(
-        "Fig. 14(d): hot-seed coalescing (FIN TopK, 75% traffic on one seed, conc. 32)",
-        &[
-            "coalescing",
-            "wall QPS",
-            "simulated QPS",
-            "avg (ms)",
-            "P99 (ms)",
-            "coalesce_hits",
-            "overflow",
-        ],
-    );
-    run_hot_seed(false, &mut d);
-    run_hot_seed(true, &mut d);
-    d.print();
 
     println!(
         "paper: QPS grows near-linearly with serving threads/workers; \

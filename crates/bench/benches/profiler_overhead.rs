@@ -1,7 +1,9 @@
 //! Profiler overhead: the cooperative frame stacks and the `/profile`
 //! sampler must be cheap enough to leave on.
 //!
-//! Three paired serve measurements over one deployment:
+//! Three paired serve measurements over one deployment, each driving N
+//! threads that call `serve_encoded` directly (what N connections do to a
+//! `NetServer`):
 //!
 //! * **annotation off** — `set_profiling_enabled(false)`: frame guards
 //!   cost one relaxed load, the un-instrumented baseline;
@@ -45,11 +47,10 @@ fn main() {
     );
     let seeds = percent_seeds(&helios.dataset, 1.0);
     let serve = |c: usize, seq: u64| {
-        let seed = seeds[(seq as usize * 31 + c * 7) % seeds.len()];
-        let _ = helios.deployment.serve_queued(seed).unwrap();
+        helios.serve_encoded(seeds[(seq as usize * 31 + c * 7) % seeds.len()]);
     };
 
-    // Warm up once so lane threads, caches and interned labels are hot
+    // Warm up once so caches, thread scratch and interned labels are hot
     // before any measured window.
     drive(conc, window() / 2, serve);
 
@@ -76,7 +77,7 @@ fn main() {
     });
 
     let mut t = helios_metrics::Table::new(
-        format!("Profiler overhead (INTER Random, queued path, conc {conc}, scale {scale})"),
+        format!("Profiler overhead (INTER Random, conc {conc}, scale {scale})"),
         &["Mode", "QPS", "P50 (ms)", "P99 (ms)", "P99 vs off"],
     );
     for (mode, out) in [("off", &off), ("idle", &idle), ("collecting", &collecting)] {

@@ -36,8 +36,8 @@ where
 
 /// Like [`drive`], but pins client `c` to core `c % cores` before the
 /// measurement loop — the multicore serving sweeps use this so client
-/// threads (and, transitively, the lane threads they saturate) spread
-/// over a known core set instead of wherever the scheduler lands them.
+/// threads — which are the serving threads — spread over a known core
+/// set instead of wherever the scheduler lands them.
 /// Pinning is best effort: on non-Linux hosts or restricted cpusets the
 /// clients just run unpinned.
 pub fn drive_pinned<F>(concurrency: usize, cores: usize, window: Duration, op: F) -> BenchOutcome
@@ -186,6 +186,20 @@ pub struct HeliosBench {
 }
 
 impl HeliosBench {
+    /// One direct `serve_encoded` into the calling thread's reusable
+    /// reply buffer — what a `NetServer` connection thread does per
+    /// request, so N driver threads stand for N connections.
+    pub fn serve_encoded(&self, seed: VertexId) {
+        thread_local! {
+            static REPLY: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+        }
+        REPLY.with(|reply| {
+            self.deployment
+                .serve_encoded(seed, &mut reply.borrow_mut())
+                .expect("serve")
+        });
+    }
+
     /// Tear down: with `HELIOS_STATS=1` print the deployment's telemetry
     /// snapshot first, so every fig* experiment gets per-subsystem
     /// counters for free; then stop the deployment if this handle is the

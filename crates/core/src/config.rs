@@ -44,29 +44,6 @@ pub struct HeliosConfig {
     pub sampling_threads: usize,
     /// Cache-updating threads per serving worker.
     pub updater_threads: usize,
-    /// Serving threads per serving worker (execute queued sampling
-    /// queries; the paper's "serving threads", §4.3). Direct `serve`
-    /// calls bypass the queue; `serve_queued` uses it.
-    pub serving_threads: usize,
-    /// Hot-seed request coalescing: the floor (and starting value) of
-    /// each lane's **adaptive** waiter cap — how many concurrent queued
-    /// requests for the same `(seed, epoch)` may share one expansion as
-    /// waiters on a single leader serve. A lane that overflows the cap
-    /// doubles it (up to 1024, current value on the
-    /// `serving.coalesce_cap` gauge); sustained calm decays it back to
-    /// this floor. Requests beyond the in-force cap degrade to
-    /// independent serves (counted by `serving.coalesce_overflow`); `0`
-    /// disables coalescing entirely and pins the cap.
-    pub coalesce_max_waiters: usize,
-    /// How many queued requests a serve lane drains from its channel per
-    /// scheduling round. Larger batches expose more coalescing
-    /// opportunity under a hot seed; `1` effectively serves strictly
-    /// request-at-a-time.
-    pub serve_drain_batch: usize,
-    /// Pin each serve lane thread to a core (`lane % cores`) via
-    /// `sched_setaffinity`. Best effort: pinning failures (non-Linux,
-    /// restricted cpusets) are ignored and lanes run unpinned.
-    pub pin_serving_threads: bool,
     /// Replicas per serving worker (§4.1: "replicating the highly loaded
     /// serving workers based on the ad-hoc skewness"). Each replica
     /// consumes the same sample queue under its own consumer group and
@@ -170,10 +147,6 @@ impl Default for HeliosConfig {
             serving_workers: 2,
             sampling_threads: 2,
             updater_threads: 2,
-            serving_threads: 4,
-            coalesce_max_waiters: 16,
-            serve_drain_batch: 64,
-            pin_serving_threads: false,
             serving_replicas: 1,
             sample_queue_partitions: 2,
             policy: PartitionPolicy::BySrc,
@@ -225,13 +198,8 @@ impl HeliosConfig {
         if self.serving_workers == 0 {
             return Err(InvalidConfig("need at least one serving worker".into()));
         }
-        if self.sampling_threads == 0 || self.updater_threads == 0 || self.serving_threads == 0 {
+        if self.sampling_threads == 0 || self.updater_threads == 0 {
             return Err(InvalidConfig("thread counts must be positive".into()));
-        }
-        if self.serve_drain_batch == 0 {
-            return Err(InvalidConfig(
-                "serve drain batch must be positive (1 disables batching)".into(),
-            ));
         }
         if self.serving_replicas == 0 {
             return Err(InvalidConfig(
@@ -334,22 +302,12 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_off_is_a_valid_config() {
-        let mut c = HeliosConfig::default();
-        c.coalesce_max_waiters = 0; // disables coalescing, not invalid
-        c.serve_drain_batch = 1; // strict request-at-a-time, not invalid
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn invalid_configs_rejected() {
         for f in [
             |c: &mut HeliosConfig| c.sampling_workers = 0,
             |c: &mut HeliosConfig| c.serving_workers = 0,
             |c: &mut HeliosConfig| c.sampling_threads = 0,
             |c: &mut HeliosConfig| c.updater_threads = 0,
-            |c: &mut HeliosConfig| c.serving_threads = 0,
-            |c: &mut HeliosConfig| c.serve_drain_batch = 0,
             |c: &mut HeliosConfig| c.serving_replicas = 0,
             |c: &mut HeliosConfig| c.sample_queue_partitions = 0,
             |c: &mut HeliosConfig| c.poll_batch = 0,

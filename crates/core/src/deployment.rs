@@ -550,7 +550,7 @@ impl HeliosDeployment {
                         let seen = set
                             .workers
                             .get(sew * set.replicas)
-                            .and_then(|t| t.serve(marker).ok())
+                            .and_then(|t| t.serve(marker, TraceCtx::NONE).ok())
                             .and_then(|g| g.features.get(&marker).and_then(|f| f.first().copied()));
                         if seen == Some(expect) {
                             visible = true;
@@ -1094,7 +1094,7 @@ impl HeliosDeployment {
     pub fn serve(&self, seed: VertexId) -> Result<SampledSubgraph> {
         let router_span = span("router.serve", TraceCtx::root());
         let worker = self.route_timed(seed, router_span.ctx());
-        let result = worker.serve_traced(seed, router_span.ctx());
+        let result = worker.serve(seed, router_span.ctx());
         self.flag_serve_error(router_span.ctx().trace, &result);
         result
     }
@@ -1108,20 +1108,7 @@ impl HeliosDeployment {
     pub fn serve_encoded(&self, seed: VertexId, out: &mut Vec<u8>) -> Result<()> {
         let router_span = span("router.serve", TraceCtx::root());
         let worker = self.route_timed(seed, router_span.ctx());
-        let result = worker.serve_encoded_traced(seed, router_span.ctx(), out);
-        if result.is_err() {
-            self.retained.flag(router_span.ctx().trace, "error");
-        }
-        result
-    }
-
-    /// Serve through the owning worker's bounded serving-thread pool
-    /// (§4.3): queueing delay becomes visible under load, which is what
-    /// the scalability experiments measure.
-    pub fn serve_queued(&self, seed: VertexId) -> Result<SampledSubgraph> {
-        let router_span = span("router.serve", TraceCtx::root());
-        let worker = self.route_timed(seed, router_span.ctx());
-        let result = worker.serve_queued_traced(seed, router_span.ctx());
+        let result = worker.serve_encoded(seed, router_span.ctx(), out);
         self.flag_serve_error(router_span.ctx().trace, &result);
         result
     }
@@ -1142,7 +1129,7 @@ impl HeliosDeployment {
     }
 
     /// Flag a failed serve's trace so the tail sweep retains it.
-    fn flag_serve_error(&self, trace: u64, result: &Result<SampledSubgraph>) {
+    fn flag_serve_error<T>(&self, trace: u64, result: &Result<T>) {
         if result.is_err() {
             self.retained.flag(trace, "error");
         }

@@ -28,12 +28,6 @@ pub struct ServingReport {
     pub mq_dwell_p99_ms: f64,
     /// Cache footprint in bytes (memory + disk).
     pub cache_bytes: u64,
-    /// Queued requests answered from a coalesced hot-seed expansion.
-    pub coalesce_hits: u64,
-    /// Coalescable requests expanded separately because the single-flight
-    /// waiter cap was reached — a sustained rate means the cap is too low
-    /// for the skew.
-    pub coalesce_overflow: u64,
     /// Byte-accurate accounted footprint of this replica (sample/feature
     /// memtables + block cache + SST indexes + serve scratch), from the
     /// worker's [`crate::ServingMemGauges`].
@@ -106,8 +100,6 @@ impl DeploymentReport {
                 ingestion_p99_ms: w.ingestion_latency().percentile_ms(99.0),
                 mq_dwell_p99_ms: w.mq_dwell().percentile_ms(99.0),
                 cache_bytes: w.cache_bytes(),
-                coalesce_hits: w.coalesce_hits(),
-                coalesce_overflow: w.coalesce_overflow(),
                 accounted_bytes: {
                     let g = w.mem_gauges();
                     g.sample_table.get()
@@ -168,7 +160,7 @@ impl fmt::Display for DeploymentReport {
         for s in &self.serving {
             writeln!(
                 f,
-                "  SEW{}r{}: {} served (avg {:.3} ms / p99 {:.3} ms), {} applied (dwell p99 {:.3} ms), {} decode errors, cache {} KB, coalesce {}/{} hit/overflow, accounted {} KB",
+                "  SEW{}r{}: {} served (avg {:.3} ms / p99 {:.3} ms), {} applied (dwell p99 {:.3} ms), {} decode errors, cache {} KB, accounted {} KB",
                 s.sew,
                 s.replica,
                 s.served,
@@ -178,8 +170,6 @@ impl fmt::Display for DeploymentReport {
                 s.mq_dwell_p99_ms,
                 s.decode_errors,
                 s.cache_bytes / 1024,
-                s.coalesce_hits,
-                s.coalesce_overflow,
                 s.accounted_bytes.max(0) / 1024
             )?;
         }

@@ -22,7 +22,7 @@ use crate::messages::{now_nanos, SampleEntryLite, SampleMsg};
 use crate::sampler::topics;
 use bytes::{Bytes, BytesMut};
 use helios_kvstore::{KvConfig, KvEvent, KvMemGauges, KvStats, KvStore, WriteOp};
-use helios_metrics::{Histogram, StripedHistogram};
+use helios_metrics::Histogram;
 use helios_mq::Broker;
 use helios_query::{KHopQuery, SampledSubgraph, SubgraphArena, SubgraphView};
 use helios_telemetry::{span, Counter, EventKind, FlightRecorder, Registry, TraceCtx};
@@ -31,12 +31,13 @@ use helios_types::{
     Decode, Encode, FxHashSet, MemGauge, PartitionId, QueryHopId, Result, ServingWorkerId,
     Timestamp, VertexId,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-// Logical profiler frames for the worker's registered threads (serve
-// lanes and updaters); see `helios_types::profile`.
+// Logical profiler frames, visible on threads that registered with the
+// profiler (the updaters; a serving thread if its owner registered it);
+// see `helios_types::profile`.
 static SERVE: FrameLabel = FrameLabel::new("serve");
 static CACHE_LOOKUP: FrameLabel = FrameLabel::new("cache_lookup");
 static HOP_EXPAND: FrameLabel = FrameLabel::new("hop_expand");
@@ -55,17 +56,6 @@ fn feature_key(v: VertexId) -> [u8; 8] {
     v.raw().to_be_bytes()
 }
 
-/// Seed-affine lane choice (splitmix64 finalizer): spreads adjacent ids
-/// across lanes while keeping the mapping stable, so concurrent requests
-/// for one hot seed always land on the same lane — the single-flight
-/// coalescing table is lane-local and needs no cross-lane coordination.
-fn lane_for(seed: VertexId, lanes: usize) -> usize {
-    let mut x = seed.raw().wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((x ^ (x >> 31)) % lanes.max(1) as u64) as usize
-}
-
 /// Byte gauges of one serving replica's cache resources, registered with
 /// the deployment's memory accountant as `mem.bytes{component=…}`. The
 /// two kvstores split their memtable bytes by table but share the block
@@ -80,8 +70,9 @@ pub struct ServingMemGauges {
     pub block_cache: MemGauge,
     /// Decoded SST bloom + sparse-index metadata.
     pub sst_index: MemGauge,
-    /// Sum of the serve lanes' current scratch footprints (arena +
-    /// reusable buffers); each lane re-charges its delta per batch.
+    /// Sum of the serving threads' current scratch footprints (arena +
+    /// reusable buffers): a thread re-charges its delta after each serve
+    /// and releases its share when it exits.
     pub serve_scratch: MemGauge,
 }
 
@@ -98,17 +89,11 @@ pub struct ServingWorker {
     ingestion_latency: Arc<Histogram>,
     /// Per-stage serve-path attribution (`serving.stage_latency{stage=…}`):
     /// `cache_lookup + hop_expand + feature_gather + encode` covers the
-    /// whole of `serve_traced`, so these sum to `serving.latency`. Striped
-    /// per serve lane (`lane=<i>` label; the last stripe belongs to direct
-    /// `serve` callers) so N lanes recording four stage observations per
-    /// request never contend on shared bucket counters; reads fold the
-    /// stripes back together.
-    stage_cache_lookup: StripedHistogram,
-    stage_hop_expand: StripedHistogram,
-    stage_feature_gather: StripedHistogram,
-    stage_encode: StripedHistogram,
-    /// Queued-path extra: enqueue → pickup by a serving thread.
-    queue_wait: Arc<Histogram>,
+    /// whole of a serve, so these sum to `serving.latency`.
+    stage_cache_lookup: Arc<Histogram>,
+    stage_hop_expand: Arc<Histogram>,
+    stage_feature_gather: Arc<Histogram>,
+    stage_encode: Arc<Histogram>,
     /// Update-path attribution: sample-queue dwell (produce → consume
     /// stamp on the wire record) and batch cache-apply time.
     mq_dwell: Arc<Histogram>,
@@ -120,107 +105,15 @@ pub struct ServingWorker {
     sample_misses: Arc<Counter>,
     feature_hits: Arc<Counter>,
     feature_misses: Arc<Counter>,
-    /// Queued requests answered from another request's expansion
-    /// (single-flight coalescing), and requests that found a full waiter
-    /// list and degraded to independent serves.
-    coalesce_hits: Arc<Counter>,
-    coalesce_overflow: Arc<Counter>,
-    /// Bumped after every cache mutation batch (and TTL expiry). Requests
-    /// stamp the epoch at enqueue; only requests that observed the same
-    /// epoch may share one expansion, so coalescing never papers over a
-    /// cache update that landed between two enqueues.
-    apply_epoch: AtomicU64,
-    /// Floor (and initial value) of each lane's adaptive coalesce cap;
-    /// `0` disables coalescing entirely.
-    coalesce_max_waiters: usize,
     stop: Arc<AtomicBool>,
     updaters: parking_lot::Mutex<Vec<JoinHandle<()>>>,
-    /// One channel per serve lane; dropped (set to `None`) at shutdown so
-    /// lane threads exit their recv loops and the `Arc` cycle through
-    /// them is broken.
-    serve_lanes: parking_lot::RwLock<Option<Vec<crossbeam::channel::Sender<ServeRequest>>>>,
-    serve_threads: parking_lot::Mutex<Vec<JoinHandle<()>>>,
     mem: ServingMemGauges,
 }
 
-/// Adaptive bound on coalesced waiters per leader. The original static
-/// cap of 16 overflowed ~15k times per run under 75%-skewed load: hot
-/// seeds arrive in bursts far deeper than any fixed cap, while a cap
-/// sized for the burst wastes clone work on uniform traffic. So each
-/// lane doubles its cap on any batch that overflowed and halves it back
-/// toward the configured floor after [`AdaptiveCap::SHRINK_AFTER`]
-/// consecutive calm batches. A floor of `0` keeps the off switch:
-/// coalescing stays disabled and the cap never moves.
-pub(crate) struct AdaptiveCap {
-    floor: usize,
-    cap: usize,
-    calm: u32,
-}
-
-impl AdaptiveCap {
-    /// Hard ceiling: one leader cloning for 1024 waiters is already far
-    /// past the depth any drain batch can queue.
-    const MAX: usize = 1024;
-    /// Calm batches before one halving step back toward the floor.
-    const SHRINK_AFTER: u32 = 64;
-
-    pub(crate) fn new(floor: usize) -> AdaptiveCap {
-        AdaptiveCap {
-            floor,
-            cap: floor,
-            calm: 0,
-        }
-    }
-
-    /// The cap to apply to the next batch.
-    pub(crate) fn current(&self) -> usize {
-        self.cap
-    }
-
-    /// Feed one batch's outcome; returns `true` when the cap moved.
-    pub(crate) fn observe(&mut self, overflowed: bool) -> bool {
-        if self.floor == 0 {
-            return false;
-        }
-        if overflowed {
-            self.calm = 0;
-            if self.cap < Self::MAX {
-                self.cap = (self.cap * 2).min(Self::MAX);
-                return true;
-            }
-            return false;
-        }
-        if self.cap > self.floor {
-            self.calm += 1;
-            if self.calm >= Self::SHRINK_AFTER {
-                self.calm = 0;
-                self.cap = (self.cap / 2).max(self.floor);
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// One queued serve request, in flight from `serve_queued` to a lane.
-struct ServeRequest {
-    seed: VertexId,
-    trace: TraceCtx,
-    /// Enqueue instant: lets the picking lane attribute the queue wait
-    /// (`serving.queue_wait`).
-    enqueued: std::time::Instant,
-    /// Cache epoch observed at enqueue (coalescing eligibility).
-    epoch: u64,
-    /// Per-request reply channel. The caller holds only the receiver and
-    /// this is the only sender, so a lane that dies mid-request
-    /// disconnects the caller instead of wedging it.
-    reply: crossbeam::channel::Sender<Result<SampledSubgraph>>,
-}
-
-/// Per-lane (or per-caller-thread) reusable serve state: frontier double
-/// buffer, key/value batch buffers, the dedup set, and the response
-/// arena. At steady state a serve allocates nothing — every buffer is
-/// cleared, not dropped, between requests.
+/// Per-thread reusable serve state: frontier double buffer, key/value
+/// batch buffers, the dedup set, and the response arena. At steady state
+/// a serve allocates nothing — every buffer is cleared, not dropped,
+/// between requests.
 #[derive(Default)]
 struct ServeScratch {
     arena: SubgraphArena,
@@ -243,6 +136,41 @@ impl ServeScratch {
             + self.values.capacity() * std::mem::size_of::<Option<Bytes>>()
             + self.dedup.capacity() * std::mem::size_of::<VertexId>()
             + self.vertices.capacity() * std::mem::size_of::<VertexId>()
+    }
+}
+
+/// One thread's [`ServeScratch`] plus the bytes of it currently charged
+/// to a worker's `serve_scratch` gauge — the worker the thread served
+/// last. Dropped with the thread, which releases the charge.
+#[derive(Default)]
+struct ThreadScratch {
+    scratch: ServeScratch,
+    gauge: MemGauge,
+    charged: usize,
+}
+
+impl ThreadScratch {
+    /// Bring `gauge` up to date with the scratch's footprint, first
+    /// releasing what another worker's gauge still holds. At steady state
+    /// (same worker, no buffer grew) this writes nothing shared.
+    fn recharge(&mut self, gauge: &MemGauge) {
+        if !self.gauge.same_cell(gauge) {
+            self.gauge.sub(self.charged);
+            self.gauge = gauge.clone();
+            self.charged = 0;
+        }
+        let footprint = self.scratch.footprint();
+        if footprint != self.charged {
+            self.gauge
+                .add_signed(footprint as i64 - self.charged as i64);
+            self.charged = footprint;
+        }
+    }
+}
+
+impl Drop for ThreadScratch {
+    fn drop(&mut self) {
+        self.gauge.sub(self.charged);
     }
 }
 
@@ -304,16 +232,6 @@ impl ServingWorker {
                 ("stage", stage),
             ]
         };
-        // One channel per serve lane (seed-affine dispatch); stripe count
-        // is lanes + 1 so direct `serve` callers get their own stripe.
-        let lanes = config.serving_threads;
-        let mut lane_txs = Vec::with_capacity(lanes);
-        let mut lane_rxs = Vec::with_capacity(lanes);
-        for _ in 0..lanes {
-            let (tx, rx) = crossbeam::channel::unbounded::<ServeRequest>();
-            lane_txs.push(tx);
-            lane_rxs.push(rx);
-        }
         let worker = Arc::new(ServingWorker {
             id,
             replica,
@@ -322,27 +240,13 @@ impl ServingWorker {
             features: KvStore::open(kv_config("features", mem.feature_table.clone()))?,
             serve_latency: registry.histogram("serving.latency", labels),
             ingestion_latency: registry.histogram("serving.ingestion_latency", labels),
-            stage_cache_lookup: registry.histogram_striped(
-                "serving.stage_latency",
-                &stage_labels("cache_lookup"),
-                lanes + 1,
-            ),
-            stage_hop_expand: registry.histogram_striped(
-                "serving.stage_latency",
-                &stage_labels("hop_expand"),
-                lanes + 1,
-            ),
-            stage_feature_gather: registry.histogram_striped(
-                "serving.stage_latency",
-                &stage_labels("feature_gather"),
-                lanes + 1,
-            ),
-            stage_encode: registry.histogram_striped(
-                "serving.stage_latency",
-                &stage_labels("encode"),
-                lanes + 1,
-            ),
-            queue_wait: registry.histogram("serving.queue_wait", labels),
+            stage_cache_lookup: registry
+                .histogram("serving.stage_latency", &stage_labels("cache_lookup")),
+            stage_hop_expand: registry
+                .histogram("serving.stage_latency", &stage_labels("hop_expand")),
+            stage_feature_gather: registry
+                .histogram("serving.stage_latency", &stage_labels("feature_gather")),
+            stage_encode: registry.histogram("serving.stage_latency", &stage_labels("encode")),
             mq_dwell: registry.histogram(
                 "mq.dwell",
                 &[
@@ -359,14 +263,8 @@ impl ServingWorker {
             sample_misses: registry.counter("serving.cache_miss", &hit_labels("samples")),
             feature_hits: registry.counter("serving.cache_hit", &hit_labels("features")),
             feature_misses: registry.counter("serving.cache_miss", &hit_labels("features")),
-            coalesce_hits: registry.counter("serving.coalesce_hits", labels),
-            coalesce_overflow: registry.counter("serving.coalesce_overflow", labels),
-            apply_epoch: AtomicU64::new(0),
-            coalesce_max_waiters: config.coalesce_max_waiters,
             stop: Arc::new(AtomicBool::new(false)),
             updaters: parking_lot::Mutex::new(Vec::new()),
-            serve_lanes: parking_lot::RwLock::new(Some(lane_txs)),
-            serve_threads: parking_lot::Mutex::new(Vec::new()),
             mem: mem.clone(),
         });
 
@@ -405,72 +303,6 @@ impl ServingWorker {
             }));
         }
 
-        // Serve lanes (§4.3): one thread per lane, each fed by its own
-        // channel under seed-affine dispatch. The lane count bounds
-        // per-worker serving parallelism, which is the knob the Fig. 14
-        // scale-up experiment turns. A lane drains up to
-        // `serve_drain_batch` queued requests per round and coalesces
-        // duplicates for the same (seed, epoch) into one expansion.
-        let mut serve_handles = Vec::new();
-        for (t, rx) in lane_rxs.into_iter().enumerate() {
-            let lane_label = t.to_string();
-            let cap_gauge = registry.gauge(
-                "serving.coalesce_cap",
-                &[("worker", &w), ("replica", &r), ("lane", &lane_label)],
-            );
-            let w = Arc::clone(&worker);
-            let pin = config.pin_serving_threads;
-            let drain = config.serve_drain_batch.max(1);
-            let thread_name = format!("sew{}r{replica}-serve-{t}", id.0);
-            serve_handles.push(
-                std::thread::Builder::new()
-                    .name(thread_name.clone())
-                    .spawn(move || {
-                        let _token = register_thread(thread_name);
-                        if pin {
-                            // Best effort; lanes run unpinned on failure.
-                            let _ = helios_types::affinity::pin_to_core(t);
-                        }
-                        let mut scratch = ServeScratch::default();
-                        let mut batch: Vec<ServeRequest> = Vec::with_capacity(drain);
-                        let mut done: Vec<bool> = Vec::with_capacity(drain);
-                        // Each lane owns its adaptive coalesce cap: no
-                        // cross-lane sharing, so a skewed lane widens
-                        // without a uniform lane paying for it.
-                        let mut cap = AdaptiveCap::new(w.coalesce_max_waiters);
-                        cap_gauge.set(cap.current() as i64);
-                        // Bytes of scratch currently charged to the
-                        // worker's serve_scratch gauge by this lane.
-                        let mut charged = 0usize;
-                        while let Ok(first) = rx.recv() {
-                            batch.push(first);
-                            while batch.len() < drain {
-                                match rx.try_recv() {
-                                    Ok(r) => batch.push(r),
-                                    Err(_) => break,
-                                }
-                            }
-                            let overflowed = w.run_lane_batch(
-                                t,
-                                &mut batch,
-                                &mut done,
-                                &mut scratch,
-                                cap.current(),
-                            );
-                            batch.clear();
-                            if cap.observe(overflowed) {
-                                cap_gauge.set(cap.current() as i64);
-                            }
-                            let fp = scratch.footprint();
-                            w.mem.serve_scratch.add_signed(fp as i64 - charged as i64);
-                            charged = fp;
-                        }
-                        w.mem.serve_scratch.sub(charged);
-                    })
-                    .expect("spawn serving thread"),
-            );
-        }
-        *worker.serve_threads.lock() = serve_handles;
         let mut handles = Vec::new();
 
         // Data-updating threads: split the topic's partitions across them.
@@ -615,17 +447,11 @@ impl ServingWorker {
                 }
             }
         }
-        let mutated = !sample_ops.is_empty() || !feature_ops.is_empty();
         if !sample_ops.is_empty() {
             let _ = self.samples.write_batch(sample_ops);
         }
         if !feature_ops.is_empty() {
             let _ = self.features.write_batch(feature_ops);
-        }
-        if mutated {
-            // New cache epoch: queued requests enqueued before this point
-            // may no longer coalesce with ones enqueued after it.
-            self.apply_epoch.fetch_add(1, Ordering::Release);
         }
         // Ingestion latency is "enqueue → visible in cache", so the stamps
         // are recorded only after the batch has landed.
@@ -646,65 +472,54 @@ impl ServingWorker {
 
     /// Answer a K-hop sampling query for `seed` from the local cache: a
     /// fixed number of lookups, no traversal, no network (§6's "Serving
-    /// Sampling Queries", Fig. 8).
-    pub fn serve(&self, seed: VertexId) -> Result<SampledSubgraph> {
-        self.serve_traced(seed, TraceCtx::NONE)
-    }
-
-    /// Like [`ServingWorker::serve`], continuing the caller's trace (the
-    /// deployment router passes its span context here). With no active
-    /// parent and tracing enabled, a fresh trace starts at this request.
-    pub fn serve_traced(&self, seed: VertexId, parent: TraceCtx) -> Result<SampledSubgraph> {
-        self.with_direct_scratch(|lane, scratch| {
-            self.serve_core(seed, parent, lane, scratch, |view| view.to_subgraph())
-        })
-    }
-
-    /// Borrowed-path serve: assemble the result in the reusable arena and
-    /// write the canonical response bytes straight into `out` — the owned
-    /// [`SampledSubgraph`] (one allocation per group and per feature) is
-    /// never materialized. `out` is cleared first; its capacity is reused.
-    pub fn serve_encoded(&self, seed: VertexId, out: &mut Vec<u8>) -> Result<()> {
-        self.serve_encoded_traced(seed, TraceCtx::NONE, out)
-    }
-
-    /// Like [`ServingWorker::serve_encoded`], continuing the caller's
-    /// trace.
-    pub fn serve_encoded_traced(
-        &self,
-        seed: VertexId,
-        parent: TraceCtx,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
+    /// Sampling Queries", Fig. 8). Runs on the caller's thread, assembles
+    /// the result in that thread's reusable arena and writes the canonical
+    /// response bytes straight into `out` — the owned [`SampledSubgraph`]
+    /// (one allocation per group and per feature) is never materialized.
+    /// `out` is cleared first; its capacity is reused. The serve continues
+    /// the caller's trace; with [`TraceCtx::NONE`] and tracing enabled, a
+    /// fresh trace starts at this request.
+    pub fn serve_encoded(&self, seed: VertexId, parent: TraceCtx, out: &mut Vec<u8>) -> Result<()> {
         out.clear();
-        self.with_direct_scratch(|lane, scratch| {
-            self.serve_core(seed, parent, lane, scratch, |view| view.encode_into(out))
+        self.with_thread_scratch(|scratch| {
+            self.serve_core(seed, parent, scratch, |view| view.encode_into(out))
         })
     }
 
-    /// Run `f` with this thread's reusable scratch and the direct-caller
-    /// histogram stripe (the stripe after the last lane's). Direct `serve`
-    /// is `&self` from any number of front-end threads, so the scratch is
+    /// Owned adapter over the same path as
+    /// [`ServingWorker::serve_encoded`], for callers that want the
+    /// [`SampledSubgraph`] rather than its bytes.
+    pub fn serve(&self, seed: VertexId, parent: TraceCtx) -> Result<SampledSubgraph> {
+        self.with_thread_scratch(|scratch| {
+            self.serve_core(seed, parent, scratch, |view| view.to_subgraph())
+        })
+    }
+
+    /// Run `f` with this thread's reusable scratch, then charge what the
+    /// scratch now pins to this worker's `serve_scratch` gauge. Serving is
+    /// `&self` from any number of connection threads, so the scratch is
     /// thread-local.
-    fn with_direct_scratch<R>(&self, f: impl FnOnce(usize, &mut ServeScratch) -> R) -> R {
+    fn with_thread_scratch<R>(&self, f: impl FnOnce(&mut ServeScratch) -> R) -> R {
         thread_local! {
-            static SCRATCH: std::cell::RefCell<ServeScratch> =
-                std::cell::RefCell::new(ServeScratch::default());
+            static SCRATCH: std::cell::RefCell<ThreadScratch> =
+                std::cell::RefCell::new(ThreadScratch::default());
         }
-        let lane = self.stage_cache_lookup.lanes() - 1;
-        SCRATCH.with(|s| f(lane, &mut s.borrow_mut()))
+        SCRATCH.with(|cell| {
+            let mut thread = cell.borrow_mut();
+            let result = f(&mut thread.scratch);
+            thread.recharge(&self.mem.serve_scratch);
+            result
+        })
     }
 
     /// The serve hot path. Assembles the K-hop result into
     /// `scratch.arena` — flat buffers, no per-group/per-feature `Vec`s —
     /// then hands the borrowed [`SubgraphView`] to `finish` (owned
-    /// conversion, wire encoding, …) inside the encode stage. Stage
-    /// latencies go to the `lane` stripe of the striped histograms.
+    /// conversion, wire encoding, …) inside the encode stage.
     fn serve_core<R>(
         &self,
         seed: VertexId,
         parent: TraceCtx,
-        lane: usize,
         scratch: &mut ServeScratch,
         finish: impl FnOnce(SubgraphView<'_>) -> R,
     ) -> Result<R> {
@@ -752,7 +567,6 @@ impl ServingWorker {
             drop(lookup_span);
             let now = std::time::Instant::now();
             self.stage_cache_lookup
-                .stripe(lane)
                 .record_duration(now.duration_since(mark));
             mark = now;
             // Stage: hop expand. Stream the sampled neighbor ids straight
@@ -784,7 +598,6 @@ impl ServingWorker {
             drop(expand_span);
             let now = std::time::Instant::now();
             self.stage_hop_expand
-                .stripe(lane)
                 .record_duration(now.duration_since(mark));
             mark = now;
             if arena.last_hop_children().is_empty() {
@@ -812,7 +625,6 @@ impl ServingWorker {
         drop(gather_span);
         let now = std::time::Instant::now();
         self.stage_feature_gather
-            .stripe(lane)
             .record_duration(now.duration_since(mark));
         mark = now;
         // Stage: encode. Decode the fetched feature vectors straight into
@@ -836,159 +648,13 @@ impl ServingWorker {
         let result = finish(arena.view());
         drop(encode_frame);
         drop(encode_span);
-        self.stage_encode
-            .stripe(lane)
-            .record_duration(mark.elapsed());
+        self.stage_encode.record_duration(mark.elapsed());
         // The end-to-end observation carries the trace id as an exemplar
         // (0 — untraced — degrades to a plain record).
         self.serve_latency
             .record_duration_with_exemplar(start.elapsed(), root.trace);
         self.served.incr();
         Ok(result)
-    }
-
-    /// Serve through the worker's bounded serving-thread pool: the request
-    /// queues until one of the `serving_threads` picks it up. Latency
-    /// measured by the caller then includes queueing delay, which is what
-    /// a front-end observes under load.
-    pub fn serve_queued(&self, seed: VertexId) -> Result<SampledSubgraph> {
-        self.serve_queued_traced(seed, TraceCtx::NONE)
-    }
-
-    /// Like [`ServingWorker::serve_queued`], continuing the caller's
-    /// trace; the queue wait shows up as the gap between this span's
-    /// start and its `serving.serve` child.
-    ///
-    /// The reply channel is per-request and the lane holds its only
-    /// sender: a lane that panics or exits mid-request drops the sender
-    /// and the caller observes a disconnect instead of blocking forever.
-    /// (A thread-local reply channel — the previous design — left a
-    /// sender clone alive in the caller's TLS, so the disconnect never
-    /// fired and a panicked worker wedged the caller.)
-    pub fn serve_queued_traced(&self, seed: VertexId, parent: TraceCtx) -> Result<SampledSubgraph> {
-        let root = if parent.is_active() {
-            parent
-        } else {
-            TraceCtx::root()
-        };
-        let queue_span = span("serving.queue", root);
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        {
-            let guard = self.serve_lanes.read();
-            let lanes = guard
-                .as_ref()
-                .ok_or(helios_types::HeliosError::ShuttingDown)?;
-            let lane = lane_for(seed, lanes.len());
-            lanes[lane]
-                .send(ServeRequest {
-                    seed,
-                    trace: queue_span.ctx(),
-                    enqueued: std::time::Instant::now(),
-                    epoch: self.apply_epoch.load(Ordering::Acquire),
-                    reply: tx,
-                })
-                .map_err(|_| helios_types::HeliosError::ShuttingDown)?;
-        }
-        rx.recv()
-            .map_err(|_| helios_types::HeliosError::Disconnected("serving thread".into()))?
-    }
-
-    /// Serve one drained lane batch: single-flight the duplicates, serve
-    /// the rest in arrival order. Requests sharing `(seed, epoch)` with
-    /// an earlier request in the batch become *waiters* on that leader's
-    /// expansion and receive a clone of its result — at most
-    /// `max_waiters` of them (the lane's current [`AdaptiveCap`] value);
-    /// the overflow (and every waiter of a failed leader, since errors
-    /// don't clone) degrades to an independent serve. `done` is the
-    /// reused seen-markers buffer. Returns whether any waiter list
-    /// overflowed, which is the adaptive cap's growth signal.
-    fn run_lane_batch(
-        &self,
-        lane: usize,
-        batch: &mut Vec<ServeRequest>,
-        done: &mut Vec<bool>,
-        scratch: &mut ServeScratch,
-        max_waiters: usize,
-    ) -> bool {
-        if batch.len() == 1 || max_waiters == 0 {
-            // Single request, or coalescing disabled: strict arrival
-            // order, one expansion each, no grouping scan (and no
-            // overflow accounting — nothing overflowed, the feature is
-            // off).
-            for req in batch.drain(..) {
-                self.queue_wait.record_duration(req.enqueued.elapsed());
-                let _ = req
-                    .reply
-                    .send(self.serve_request(lane, req.seed, req.trace, scratch));
-            }
-            return false;
-        }
-        let mut overflowed = false;
-        let n = batch.len();
-        done.clear();
-        done.resize(n, false);
-        for i in 0..n {
-            if done[i] {
-                continue;
-            }
-            done[i] = true;
-            self.queue_wait.record_duration(batch[i].enqueued.elapsed());
-            let result = self.serve_request(lane, batch[i].seed, batch[i].trace, scratch);
-            let result = match result {
-                Ok(subgraph) => {
-                    let (seed, epoch) = (batch[i].seed, batch[i].epoch);
-                    let mut waiters = 0u64;
-                    for j in (i + 1)..n {
-                        if batch[j].seed != seed || batch[j].epoch != epoch {
-                            continue;
-                        }
-                        if waiters as usize >= max_waiters {
-                            // Bounded waiter list is full: leave the rest
-                            // undone, they serve independently below.
-                            self.coalesce_overflow.incr();
-                            overflowed = true;
-                            continue;
-                        }
-                        done[j] = true;
-                        waiters += 1;
-                        self.queue_wait.record_duration(batch[j].enqueued.elapsed());
-                        let _ = batch[j].reply.send(Ok(subgraph.clone()));
-                        // A coalesced request is a served request; it just
-                        // cost no expansion (and records no latency —
-                        // simulated-QPS math stays honest).
-                        self.served.incr();
-                    }
-                    if waiters > 0 {
-                        self.coalesce_hits.add(waiters);
-                    }
-                    Ok(subgraph)
-                }
-                err => err,
-            };
-            let _ = batch[i].reply.send(result);
-        }
-        overflowed
-    }
-
-    /// One lane-side serve, isolated: a panicking expansion is caught and
-    /// answered as an error so the lane thread (and every other request
-    /// in its queue) survives.
-    fn serve_request(
-        &self,
-        lane: usize,
-        seed: VertexId,
-        trace: TraceCtx,
-        scratch: &mut ServeScratch,
-    ) -> Result<SampledSubgraph> {
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.serve_core(seed, trace, lane, scratch, |view| view.to_subgraph())
-        }));
-        match run {
-            Ok(result) => result,
-            Err(_) => Err(helios_types::HeliosError::Disconnected(
-                "serve panicked".into(),
-            )),
-        }
     }
 
     /// Number of requests served.
@@ -1015,18 +681,6 @@ impl ServingWorker {
     /// Feature-table cache lookups: (hits, misses).
     pub fn feature_lookups(&self) -> (u64, u64) {
         (self.feature_hits.get(), self.feature_misses.get())
-    }
-
-    /// Queued requests answered from a coalesced expansion (single-flight
-    /// hits on a hot seed).
-    pub fn coalesce_hits(&self) -> u64 {
-        self.coalesce_hits.get()
-    }
-
-    /// Queued requests that found the bounded waiter list full and
-    /// degraded to independent serves.
-    pub fn coalesce_overflow(&self) -> u64 {
-        self.coalesce_overflow.get()
     }
 
     /// Serving latency histogram.
@@ -1071,10 +725,7 @@ impl ServingWorker {
     /// caller's thread.
     pub fn expire_before(&self, horizon: Timestamp) -> Result<()> {
         self.samples.expire_before(horizon)?;
-        self.features.expire_before(horizon)?;
-        // Expiry changes read visibility like a write batch does.
-        self.apply_epoch.fetch_add(1, Ordering::Release);
-        Ok(())
+        self.features.expire_before(horizon)
     }
 
     /// Pause/resume the caches' background flushers (ops drills and
@@ -1090,13 +741,6 @@ impl ServingWorker {
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
         for h in self.updaters.lock().drain(..) {
-            let _ = h.join();
-        }
-        // Close the per-lane serve queues so lane threads exit and release
-        // their `Arc<ServingWorker>` handles. Buffered requests survive
-        // sender disconnect and are still drained before the lanes exit.
-        self.serve_lanes.write().take();
-        for h in self.serve_threads.lock().drain(..) {
             let _ = h.join();
         }
     }
@@ -1122,71 +766,6 @@ mod tests {
         assert!(a < b);
         assert!(b < c, "hop is the major key");
         assert_ne!(feature_key(VertexId(1)), feature_key(VertexId(2)));
-    }
-
-    #[test]
-    fn lane_choice_is_stable_and_covers_all_lanes() {
-        // Affinity: the same seed always maps to the same lane.
-        for v in 0..64u64 {
-            assert_eq!(lane_for(VertexId(v), 4), lane_for(VertexId(v), 4));
-        }
-        // Spread: with enough seeds every lane gets traffic.
-        let mut hit = [false; 4];
-        for v in 0..64u64 {
-            hit[lane_for(VertexId(v), 4)] = true;
-        }
-        assert!(hit.iter().all(|&h| h), "all lanes reachable: {hit:?}");
-        // Degenerate lane counts never panic or go out of range.
-        assert_eq!(lane_for(VertexId(7), 1), 0);
-        assert_eq!(lane_for(VertexId(7), 0), 0);
-    }
-
-    #[test]
-    fn adaptive_cap_grows_on_overflow_and_decays_to_floor() {
-        let mut cap = AdaptiveCap::new(16);
-        assert_eq!(cap.current(), 16);
-        // Overflow doubles, repeatedly, up to the ceiling.
-        assert!(cap.observe(true));
-        assert_eq!(cap.current(), 32);
-        for _ in 0..20 {
-            cap.observe(true);
-        }
-        assert_eq!(cap.current(), AdaptiveCap::MAX);
-        assert!(!cap.observe(true), "at the ceiling the cap stays put");
-        // Calm batches decay one halving per SHRINK_AFTER, never below
-        // the floor.
-        let mut changes = 0;
-        for _ in 0..(AdaptiveCap::SHRINK_AFTER * 100) {
-            if cap.observe(false) {
-                changes += 1;
-            }
-        }
-        assert_eq!(cap.current(), 16);
-        assert_eq!(changes, 6, "1024 → 16 is six halvings");
-        // An overflow mid-decay resets the calm streak: after growing to
-        // 32 and SHRINK_AFTER-1 calm batches, one overflow means the next
-        // SHRINK_AFTER-1 calm batches still shrink nothing.
-        cap.observe(true);
-        assert_eq!(cap.current(), 32);
-        for _ in 0..(AdaptiveCap::SHRINK_AFTER - 1) {
-            assert!(!cap.observe(false));
-        }
-        assert!(cap.observe(true), "overflow grows and resets calm");
-        assert_eq!(cap.current(), 64);
-        for _ in 0..(AdaptiveCap::SHRINK_AFTER - 1) {
-            assert!(!cap.observe(false), "calm streak restarted");
-        }
-        assert!(cap.observe(false));
-        assert_eq!(cap.current(), 32);
-    }
-
-    #[test]
-    fn adaptive_cap_zero_floor_is_the_off_switch() {
-        let mut cap = AdaptiveCap::new(0);
-        assert_eq!(cap.current(), 0);
-        assert!(!cap.observe(true));
-        assert!(!cap.observe(false));
-        assert_eq!(cap.current(), 0, "disabled cap never moves");
     }
 
     #[test]

@@ -490,7 +490,10 @@ fn serving_replicas_converge_and_share_load() {
         let results: Vec<_> = helios
             .serving_replicas_of(owner.0)
             .iter()
-            .map(|w| w.serve(VertexId(u)).unwrap())
+            .map(|w| {
+                w.serve(VertexId(u), helios_telemetry::TraceCtx::NONE)
+                    .unwrap()
+            })
             .collect();
         for r in &results[1..] {
             assert_eq!(r.hops, results[0].hops, "replica divergence for {u}");

@@ -118,8 +118,8 @@ fn apply_batch_matches_sequential_apply() {
         ws.apply(m);
     }
 
-    let sb = wb.serve(VertexId(1)).unwrap();
-    let ss = ws.serve(VertexId(1)).unwrap();
+    let sb = wb.serve(VertexId(1), TraceCtx::NONE).unwrap();
+    let ss = ws.serve(VertexId(1), TraceCtx::NONE).unwrap();
     assert_eq!(sb.hops.len(), ss.hops.len());
     for (hb, hs) in sb.hops.iter().zip(&ss.hops) {
         assert_eq!(hb.groups, hs.groups);

@@ -1,12 +1,11 @@
-//! Multicore serve-path stress: N client threads hammering one hot seed
-//! plus a uniform mix through the per-lane queued pool, proving
+//! Concurrent serve-path stress: N client threads — what N connections
+//! are to a `NetServer` — calling `serve_encoded` at once, most of them on
+//! one hot seed, proving
 //!
 //! 1. **result equivalence** — every concurrent serve returns bytes
-//!    identical (in the canonical normalized encoding) to a sequential
-//!    serve of the same seed, coalesced or not;
-//! 2. **single-flight coalescing fires** — under the FIN supernode skew
-//!    the hot seed's lane observes `serving.coalesce_hits > 0`, and
-//!    every coalesced request still counts as served;
+//!    identical to a sequential serve of the same seed;
+//! 2. **exact accounting** — `served` moves by exactly the number of
+//!    requests;
 //! 3. **the borrowed encode path agrees** — `serve_encoded` produces the
 //!    same canonical bytes as encoding the owned result.
 
@@ -15,7 +14,7 @@ use helios_datagen::Preset;
 use helios_query::SamplingStrategy;
 use helios_types::VertexId;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 const SETTLE: Duration = Duration::from_secs(60);
@@ -23,16 +22,10 @@ const CLIENTS: usize = 8;
 const ITERS_PER_CLIENT: usize = 250;
 
 #[test]
-fn concurrent_serves_match_sequential_and_coalesce_on_hot_seeds() {
+fn concurrent_serves_match_sequential_under_hot_seed_skew() {
     let dataset = Preset::Fin.dataset(0.02);
     let query = dataset.table2_query(SamplingStrategy::TopK, false);
-    let mut config = HeliosConfig::with_workers(2, 1);
-    // Few lanes + deep drain batches: the hot seed's lane saturates and
-    // drains multi-request batches, which is where coalescing lives.
-    config.serving_threads = 2;
-    config.serve_drain_batch = 64;
-    config.coalesce_max_waiters = 16;
-    let helios = HeliosDeployment::start(config, query).unwrap();
+    let helios = HeliosDeployment::start(HeliosConfig::with_workers(2, 1), query).unwrap();
     let events: Vec<_> = dataset.events().collect();
     helios.ingest_and_settle(&events, SETTLE).unwrap();
 
@@ -42,17 +35,16 @@ fn concurrent_serves_match_sequential_and_coalesce_on_hot_seeds() {
     let hot = seeds[0];
 
     // Sequential reference pass: no concurrency, no updates flowing, so
-    // each serve is deterministic. Normalize via the canonical encoding.
+    // each serve is deterministic.
     let mut reference: HashMap<VertexId, Vec<u8>> = HashMap::new();
     for &seed in &seeds {
-        let owned = helios.serve(seed).unwrap();
         let mut bytes = Vec::new();
-        owned.encode_into(&mut bytes);
-        // The borrowed encode path must agree with the owned one.
-        let mut borrowed = Vec::new();
-        helios.serve_encoded(seed, &mut borrowed).unwrap();
+        helios.serve_encoded(seed, &mut bytes).unwrap();
+        // The owned adapter must agree with the borrowed path.
+        let mut owned = Vec::new();
+        helios.serve(seed).unwrap().encode_into(&mut owned);
         assert_eq!(
-            borrowed, bytes,
+            bytes, owned,
             "serve_encoded bytes differ from owned encoding for seed {seed:?}"
         );
         reference.insert(seed, bytes);
@@ -60,107 +52,37 @@ fn concurrent_serves_match_sequential_and_coalesce_on_hot_seeds() {
 
     let served_before: u64 = helios.serving_workers().iter().map(|w| w.served()).sum();
 
-    // Concurrent pass: 75% hot seed, 25% uniform mix, all clients through
-    // the queued per-lane pool at once.
-    let calls = AtomicU64::new(0);
-    let mismatches = AtomicU64::new(0);
+    // Concurrent pass: 75% hot seed, 25% uniform mix, every client
+    // released at once.
+    let start = Barrier::new(CLIENTS);
     std::thread::scope(|scope| {
         for c in 0..CLIENTS {
-            let helios = &helios;
-            let seeds = &seeds;
-            let reference = &reference;
-            let calls = &calls;
-            let mismatches = &mismatches;
+            let (helios, seeds, reference, start) = (&helios, &seeds, &reference, &start);
             scope.spawn(move || {
                 let mut bytes = Vec::new();
+                start.wait();
                 for i in 0..ITERS_PER_CLIENT {
                     let seed = if i % 4 != 3 {
                         hot
                     } else {
                         seeds[(i * 13 + c * 7) % seeds.len()]
                     };
-                    let result = helios.serve_queued(seed).unwrap();
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    bytes.clear();
-                    result.encode_into(&mut bytes);
-                    if bytes != reference[&seed] {
-                        mismatches.fetch_add(1, Ordering::Relaxed);
-                    }
+                    helios.serve_encoded(seed, &mut bytes).unwrap();
+                    assert_eq!(
+                        bytes, reference[&seed],
+                        "client {c} call {i}: seed {seed:?} differs from its sequential reference"
+                    );
                 }
             });
         }
     });
 
-    assert_eq!(
-        mismatches.load(Ordering::Relaxed),
-        0,
-        "every concurrent serve must be byte-identical to its sequential reference"
-    );
-    let total_calls = calls.load(Ordering::Relaxed);
-    assert_eq!(total_calls, (CLIENTS * ITERS_PER_CLIENT) as u64);
-
-    // Every request — leader or coalesced waiter — counts as served.
     let served: u64 = helios.serving_workers().iter().map(|w| w.served()).sum();
-    assert!(
-        served - served_before >= total_calls,
-        "served {} of {total_calls} queued calls",
-        served - served_before
+    assert_eq!(
+        served - served_before,
+        (CLIENTS * ITERS_PER_CLIENT) as u64,
+        "every request counts as served, exactly once"
     );
 
-    // The hot seed saturates one lane, so single-flight must have fired.
-    let hits: u64 = helios
-        .serving_workers()
-        .iter()
-        .map(|w| w.coalesce_hits())
-        .sum();
-    assert!(
-        hits > 0,
-        "8 clients x 75% hot-seed traffic on 2 lanes must coalesce at least once"
-    );
-    // Coalescing shows in the snapshot too (README metrics table).
-    let snap = helios.telemetry_snapshot();
-    assert_eq!(snap.counter_total("serving.coalesce_hits"), hits);
-
-    helios.shutdown();
-}
-
-#[test]
-fn coalescing_disabled_still_serves_correctly() {
-    let dataset = Preset::Fin.dataset(0.02);
-    let query = dataset.table2_query(SamplingStrategy::TopK, false);
-    let mut config = HeliosConfig::with_workers(1, 1);
-    config.serving_threads = 2;
-    config.coalesce_max_waiters = 0; // off: every request expands alone
-    let helios = HeliosDeployment::start(config, query).unwrap();
-    let events: Vec<_> = dataset.events().collect();
-    helios.ingest_and_settle(&events, SETTLE).unwrap();
-
-    let (lo, _) = dataset.id_range(dataset.seed_population());
-    let hot = VertexId(lo);
-    let reference = {
-        let mut b = Vec::new();
-        helios.serve(hot).unwrap().encode_into(&mut b);
-        b
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let helios = &helios;
-            let reference = &reference;
-            scope.spawn(move || {
-                let mut bytes = Vec::new();
-                for _ in 0..100 {
-                    bytes.clear();
-                    helios.serve_queued(hot).unwrap().encode_into(&mut bytes);
-                    assert_eq!(&bytes, reference);
-                }
-            });
-        }
-    });
-    let hits: u64 = helios
-        .serving_workers()
-        .iter()
-        .map(|w| w.coalesce_hits())
-        .sum();
-    assert_eq!(hits, 0, "coalesce_max_waiters = 0 disables single-flight");
     helios.shutdown();
 }

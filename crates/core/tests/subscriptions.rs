@@ -8,7 +8,8 @@ use helios_query::{KHopQuery, SamplingStrategy};
 use helios_types::{
     EdgeType, EdgeUpdate, GraphUpdate, Timestamp, VertexId, VertexType, VertexUpdate,
 };
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -191,7 +192,7 @@ fn diamond_refcounts() {
     helios.shutdown();
 }
 
-// ---- subscription-churn property test ----
+// ---- subscription-churn seeded test ----
 //
 // The refcount tables are a *derived* index over the reservoir tables:
 // whatever interleaving of subscribes, unsubscribes, replacements and TTL
@@ -216,129 +217,138 @@ enum ChurnOp {
     Expire,
 }
 
-fn churn_op() -> impl Strategy<Value = ChurnOp> {
-    prop_oneof![
-        4 => (1..=4u64, 100..110u64).prop_map(|(u, i)| ChurnOp::Click(u, i)),
-        4 => (100..110u64, 100..110u64).prop_map(|(i, j)| ChurnOp::Cop(i, j)),
-        1 => (1..=4u64).prop_map(ChurnOp::UserVertex),
-        1 => (100..110u64).prop_map(ChurnOp::ItemVertex),
-        1 => Just(ChurnOp::Expire),
-    ]
+fn churn_op(rng: &mut StdRng) -> ChurnOp {
+    match rng.gen_range(0..11) {
+        0..=3 => ChurnOp::Click(rng.gen_range(1..=4), rng.gen_range(100..110)),
+        4..=7 => ChurnOp::Cop(rng.gen_range(100..110), rng.gen_range(100..110)),
+        8 => ChurnOp::UserVertex(rng.gen_range(1..=4)),
+        9 => ChurnOp::ItemVertex(rng.gen_range(100..110)),
+        _ => ChurnOp::Expire,
+    }
 }
 
 type Refcounts = HashMap<(u64, u32), u32>;
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12,
-        ..ProptestConfig::default()
-    })]
-
-    /// Tiny fan-outs (2 then 1) over a small vertex space force constant
-    /// reservoir replacement; interleaved TTL expiry tears entries out
-    /// from under in-flight subscriptions. After quiescing, the global
-    /// `sample_subs`/`feat_subs` refcounts must equal the from-scratch
-    /// derivation over the surviving reservoir contents.
-    #[test]
-    fn subscription_churn_converges_to_reservoir_contents(
-        ops in proptest::collection::vec(churn_op(), 1..120),
-    ) {
-        let q = KHopQuery::builder(USER)
-            .hop(CLICK, ITEM, 2, SamplingStrategy::TopK)
-            .hop(COP, ITEM, 1, SamplingStrategy::TopK)
-            .build()
-            .unwrap();
-        let helios = HeliosDeployment::start(HeliosConfig::with_workers(2, 2), q).unwrap();
-
-        let mut ts = 0u64;
-        for op in &ops {
-            ts += 1;
-            match *op {
-                ChurnOp::Click(u, i) => helios.ingest(&edge(CLICK, USER, u, ITEM, i, ts)).unwrap(),
-                ChurnOp::Cop(i, j) => helios.ingest(&edge(COP, ITEM, i, ITEM, j, ts)).unwrap(),
-                ChurnOp::UserVertex(u) => helios.ingest(&vertex(u, USER, ts)).unwrap(),
-                ChurnOp::ItemVertex(i) => helios.ingest(&vertex(i, ITEM, ts)).unwrap(),
-                ChurnOp::Expire => helios
-                    .expire_before(Timestamp(ts.saturating_sub(10)))
-                    .unwrap(),
-            }
-        }
-        prop_assert!(helios.quiesce(SETTLE), "deployment failed to quiesce");
-
-        // Union the per-shard snapshots into one global view. Keys are
-        // sharded by vertex, so summing refcounts merges disjoint maps.
-        let mut res: [HashMap<u64, Vec<u64>>; 2] = [HashMap::new(), HashMap::new()];
-        let mut seeds: HashMap<u64, u32> = HashMap::new();
-        let mut got_samples: [Refcounts; 2] = [HashMap::new(), HashMap::new()];
-        let mut got_feats: Refcounts = HashMap::new();
-        for w in helios.sampling_workers() {
-            for snap in w.inspect().unwrap() {
-                for (h, table) in snap.reservoirs.iter().enumerate() {
-                    for (k, neighbors) in table {
-                        res[h].insert(k.raw(), neighbors.iter().map(|v| v.raw()).collect());
-                    }
-                }
-                for (h, subs) in snap.sample_subs.iter().enumerate() {
-                    for (v, by_sew) in subs {
-                        for (sew, rc) in by_sew {
-                            prop_assert!(*rc > 0, "zero refcount kept for {v:?}");
-                            *got_samples[h].entry((v.raw(), *sew)).or_insert(0) += rc;
-                        }
-                    }
-                }
-                for (v, by_sew) in &snap.feat_subs {
-                    for (sew, rc) in by_sew {
-                        prop_assert!(*rc > 0, "zero feat refcount kept for {v:?}");
-                        *got_feats.entry((v.raw(), *sew)).or_insert(0) += rc;
-                    }
-                }
-                for (v, sew) in &snap.seeds {
-                    prop_assert!(
-                        seeds.insert(v.raw(), *sew).is_none(),
-                        "seed {} tracked by two shards",
-                        v.raw()
-                    );
-                }
-            }
-        }
-
-        // From-scratch derivation. Every seed is charged once to its
-        // routed owner: the hop-0 sample sub plus one feature refcount.
-        let mut exp_samples: [Refcounts; 2] = [HashMap::new(), HashMap::new()];
-        let mut exp_feats: Refcounts = HashMap::new();
-        for (&s, &owner) in &seeds {
-            prop_assert_eq!(
-                owner,
-                helios.router().owner_of(VertexId(s)).0,
-                "seed {} charged to a non-owner",
-                s
-            );
-            *exp_samples[0].entry((s, owner)).or_insert(0) += 1;
-            *exp_feats.entry((s, owner)).or_insert(0) += 1;
-        }
-        // Each subscribed hop-0 cell pins its sampled neighbors: one
-        // hop-1 sub and one feature refcount per sampled occurrence.
-        let hop0_pairs: Vec<(u64, u32)> = exp_samples[0].keys().copied().collect();
-        for (k, sew) in hop0_pairs {
-            for w in res[0].get(&k).into_iter().flatten() {
-                *exp_samples[1].entry((*w, sew)).or_insert(0) += 1;
-                *exp_feats.entry((*w, sew)).or_insert(0) += 1;
-            }
-        }
-        // Hop-1 cells cascade features once per *distinct* subscriber
-        // (the cascade fires on 0→1 transitions, not per refcount).
-        let hop1_pairs: HashSet<(u64, u32)> = exp_samples[1].keys().copied().collect();
-        for (w, sew) in hop1_pairs {
-            for x in res[1].get(&w).into_iter().flatten() {
-                *exp_feats.entry((*x, sew)).or_insert(0) += 1;
-            }
-        }
-
-        prop_assert_eq!(&got_samples[0], &exp_samples[0], "hop-0 (seed) subs diverged");
-        prop_assert_eq!(&got_samples[1], &exp_samples[1], "hop-1 subs diverged");
-        prop_assert_eq!(&got_feats, &exp_feats, "feature subs diverged");
-        helios.shutdown();
+/// Tiny fan-outs (2 then 1) over a small vertex space force constant
+/// reservoir replacement; interleaved TTL expiry tears entries out
+/// from under in-flight subscriptions. After quiescing, the global
+/// `sample_subs`/`feat_subs` refcounts must equal the from-scratch
+/// derivation over the surviving reservoir contents.
+#[test]
+fn subscription_churn_converges_to_reservoir_contents() {
+    for seed in 1..=12u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ops: Vec<ChurnOp> = (0..rng.gen_range(1..120))
+            .map(|_| churn_op(&mut rng))
+            .collect();
+        churn_case(seed, &ops);
     }
+}
+
+fn churn_case(seed: u64, ops: &[ChurnOp]) {
+    let q = KHopQuery::builder(USER)
+        .hop(CLICK, ITEM, 2, SamplingStrategy::TopK)
+        .hop(COP, ITEM, 1, SamplingStrategy::TopK)
+        .build()
+        .unwrap();
+    let helios = HeliosDeployment::start(HeliosConfig::with_workers(2, 2), q).unwrap();
+
+    let mut ts = 0u64;
+    for op in ops {
+        ts += 1;
+        match *op {
+            ChurnOp::Click(u, i) => helios.ingest(&edge(CLICK, USER, u, ITEM, i, ts)).unwrap(),
+            ChurnOp::Cop(i, j) => helios.ingest(&edge(COP, ITEM, i, ITEM, j, ts)).unwrap(),
+            ChurnOp::UserVertex(u) => helios.ingest(&vertex(u, USER, ts)).unwrap(),
+            ChurnOp::ItemVertex(i) => helios.ingest(&vertex(i, ITEM, ts)).unwrap(),
+            ChurnOp::Expire => helios
+                .expire_before(Timestamp(ts.saturating_sub(10)))
+                .unwrap(),
+        }
+    }
+    assert!(
+        helios.quiesce(SETTLE),
+        "seed {seed}: deployment failed to quiesce"
+    );
+
+    // Union the per-shard snapshots into one global view. Keys are
+    // sharded by vertex, so summing refcounts merges disjoint maps.
+    let mut res: [HashMap<u64, Vec<u64>>; 2] = [HashMap::new(), HashMap::new()];
+    let mut seeds: HashMap<u64, u32> = HashMap::new();
+    let mut got_samples: [Refcounts; 2] = [HashMap::new(), HashMap::new()];
+    let mut got_feats: Refcounts = HashMap::new();
+    for w in helios.sampling_workers() {
+        for snap in w.inspect().unwrap() {
+            for (h, table) in snap.reservoirs.iter().enumerate() {
+                for (k, neighbors) in table {
+                    res[h].insert(k.raw(), neighbors.iter().map(|v| v.raw()).collect());
+                }
+            }
+            for (h, subs) in snap.sample_subs.iter().enumerate() {
+                for (v, by_sew) in subs {
+                    for (sew, rc) in by_sew {
+                        assert!(*rc > 0, "seed {seed}: zero refcount kept for {v:?}");
+                        *got_samples[h].entry((v.raw(), *sew)).or_insert(0) += rc;
+                    }
+                }
+            }
+            for (v, by_sew) in &snap.feat_subs {
+                for (sew, rc) in by_sew {
+                    assert!(*rc > 0, "seed {seed}: zero feat refcount kept for {v:?}");
+                    *got_feats.entry((v.raw(), *sew)).or_insert(0) += rc;
+                }
+            }
+            for (v, sew) in &snap.seeds {
+                assert!(
+                    seeds.insert(v.raw(), *sew).is_none(),
+                    "seed {seed}: seed vertex {} tracked by two shards",
+                    v.raw()
+                );
+            }
+        }
+    }
+
+    // From-scratch derivation. Every seed is charged once to its
+    // routed owner: the hop-0 sample sub plus one feature refcount.
+    let mut exp_samples: [Refcounts; 2] = [HashMap::new(), HashMap::new()];
+    let mut exp_feats: Refcounts = HashMap::new();
+    for (&s, &owner) in &seeds {
+        assert_eq!(
+            owner,
+            helios.router().owner_of(VertexId(s)).0,
+            "seed {seed}: seed vertex {s} charged to a non-owner"
+        );
+        *exp_samples[0].entry((s, owner)).or_insert(0) += 1;
+        *exp_feats.entry((s, owner)).or_insert(0) += 1;
+    }
+    // Each subscribed hop-0 cell pins its sampled neighbors: one
+    // hop-1 sub and one feature refcount per sampled occurrence.
+    let hop0_pairs: Vec<(u64, u32)> = exp_samples[0].keys().copied().collect();
+    for (k, sew) in hop0_pairs {
+        for w in res[0].get(&k).into_iter().flatten() {
+            *exp_samples[1].entry((*w, sew)).or_insert(0) += 1;
+            *exp_feats.entry((*w, sew)).or_insert(0) += 1;
+        }
+    }
+    // Hop-1 cells cascade features once per *distinct* subscriber
+    // (the cascade fires on 0→1 transitions, not per refcount).
+    let hop1_pairs: HashSet<(u64, u32)> = exp_samples[1].keys().copied().collect();
+    for (w, sew) in hop1_pairs {
+        for x in res[1].get(&w).into_iter().flatten() {
+            *exp_feats.entry((*x, sew)).or_insert(0) += 1;
+        }
+    }
+
+    assert_eq!(
+        &got_samples[0], &exp_samples[0],
+        "seed {seed}: hop-0 (seed) subs diverged"
+    );
+    assert_eq!(
+        &got_samples[1], &exp_samples[1],
+        "seed {seed}: hop-1 subs diverged"
+    );
+    assert_eq!(&got_feats, &exp_feats, "seed {seed}: feature subs diverged");
+    helios.shutdown();
 }
 
 /// Random strategy with a churning stream: serving results must always be

@@ -1,10 +1,9 @@
 //! Seeded model test of the kvstore: random sequences of put, delete, get,
 //! multi_get, write_batch, flush, compact, expire and reopen must read
 //! back exactly what a `BTreeMap` oracle holds, in memory mode and in
-//! hybrid (disk) mode. Std-only — the sequences come from a fixed set of
-//! seeds through a splitmix64 generator, so a failure names the seed and
-//! step that reproduce it. The proptest twin, which shrinks, is
-//! `crates/kvstore/tests/model.rs`; it needs a registry to build.
+//! hybrid (disk) mode. The sequences come from a fixed set of seeds
+//! through a splitmix64 generator, so a failure names the seed and step
+//! that reproduce it.
 
 use bytes::Bytes;
 use helios_kvstore::{KvConfig, KvStore, WriteOp, INLINE_KEY_CAP};
@@ -135,6 +134,9 @@ fn run(seed: u64, dir: Option<PathBuf>, steps: usize) {
                 let got = kv.multi_get(&keys).unwrap();
                 let want: Vec<Option<Bytes>> = ids.iter().map(|&k| oracle.get(k)).collect();
                 assert_eq!(got, want, "{at}: multi_get({ids:?})");
+                // multi_get(keys) ≡ keys.map(get), in input order.
+                let point: Vec<Option<Bytes>> = keys.iter().map(|k| kv.get(k).unwrap()).collect();
+                assert_eq!(got, point, "{at}: multi_get({ids:?}) vs point gets");
             }
             70..=79 => {
                 // Applies in input order: the last write of a key wins.
@@ -195,12 +197,69 @@ fn memory_store_matches_the_oracle() {
 #[test]
 fn hybrid_store_matches_the_oracle() {
     for seed in 1..=24 {
-        let dir = std::env::temp_dir().join(format!(
-            "helios-offline-kv-model-{}-{seed}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("helios-kv-model-{}-{seed}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         run(seed, Some(dir.clone()), 400);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Interleaved flush-during-multi_get: a writer churns enough volume to
+/// force continuous rotation, background flushing, and compaction, while
+/// the reader multi_gets a disjoint set of stable keys. Every stable key
+/// must stay visible with its original value through every
+/// memtable→immutable→SST transition happening underneath the reader.
+#[test]
+fn flush_during_multi_get_keeps_stable_keys_visible() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let dir = std::env::temp_dir().join(format!("helios-kv-interleave-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = KvConfig::hybrid(2, 512, dir.clone());
+    config.l0_compact_trigger = 3;
+    let kv = Arc::new(KvStore::open(config).unwrap());
+
+    // Stable keys live outside the churn key range (0..64).
+    let stable: Vec<[u8; 2]> = (1000u16..1064).map(|k| k.to_be_bytes()).collect();
+    let expected: Vec<Bytes> = (0..stable.len())
+        .map(|i| Bytes::from(vec![i as u8; 16]))
+        .collect();
+    for (k, v) in stable.iter().zip(&expected) {
+        kv.put(k, v.clone(), Timestamp(1)).unwrap();
+    }
+
+    let done = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let kv = Arc::clone(&kv);
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            for i in 0..30_000u64 {
+                let k = ((i % 64) as u16).to_be_bytes();
+                kv.put(&k, Bytes::from(vec![(i % 251) as u8; 64]), Timestamp(2 + i))
+                    .unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+        })
+    };
+
+    let mut rounds = 0u64;
+    while !done.load(Ordering::Relaxed) || rounds == 0 {
+        let got = kv.multi_get(&stable).unwrap();
+        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(g.as_ref(), Some(e), "stable key {i} vanished mid-flush");
+        }
+        rounds += 1;
+    }
+    writer.join().unwrap();
+    kv.flush().unwrap();
+    let st = kv.stats();
+    assert!(st.flushes > 0, "workload never actually flushed");
+    let got = kv.multi_get(&stable).unwrap();
+    for (g, e) in got.iter().zip(&expected) {
+        assert_eq!(g.as_ref(), Some(e));
+    }
+    drop(kv);
+    let _ = std::fs::remove_dir_all(&dir);
 }

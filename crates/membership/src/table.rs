@@ -310,7 +310,8 @@ impl Decode for MembershipMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn initial_covers_all_workers_evenly() {
@@ -449,32 +450,36 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn prop_rebalance_is_minimal_and_balanced(
-            start in 1usize..6, steps in proptest::collection::vec(1usize..6, 1..5)
-        ) {
-            let slots = 60; // divisible by 1..6 → exact targets
-            let mut t = RouteTable::initial(start, slots);
-            for n in steps {
+    #[test]
+    fn seeded_rebalance_is_minimal_and_balanced() {
+        let slots = 60; // divisible by 1..6 → exact targets
+        for seed in 1..=64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut t = RouteTable::initial(rng.gen_range(1..6), slots);
+            for step in 0..rng.gen_range(1..5) {
+                let n: usize = rng.gen_range(1..6);
+                let at = format!("seed {seed} step {step} ({} -> {n} workers)", t.workers());
                 let next = t.rebalanced(n);
-                prop_assert_eq!(next.epoch(), t.epoch() + 1);
-                prop_assert_eq!(next.workers(), n);
-                prop_assert!(next.assignment().iter().all(|&w| (w as usize) < n));
+                assert_eq!(next.epoch(), t.epoch() + 1, "{at}");
+                assert_eq!(next.workers(), n, "{at}");
+                assert!(next.assignment().iter().all(|&w| (w as usize) < n), "{at}");
                 // Balanced within 1.
                 let mut counts = vec![0usize; n];
-                for &w in next.assignment() { counts[w as usize] += 1; }
+                for &w in next.assignment() {
+                    counts[w as usize] += 1;
+                }
                 let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-                prop_assert!(max - min <= 1, "unbalanced: {:?}", counts);
+                assert!(max - min <= 1, "{at}: unbalanced: {counts:?}");
                 // Minimal: a slot only moves if its old owner departed or
                 // was above the new target.
                 let base = slots / n;
-                for (slot, (&old, &new)) in t.assignment().iter().zip(next.assignment()).enumerate() {
+                for (slot, (&old, &new)) in t.assignment().iter().zip(next.assignment()).enumerate()
+                {
                     if old != new {
                         let old_load = t.assignment().iter().filter(|&&w| w == old).count();
-                        prop_assert!(
+                        assert!(
                             old as usize >= n || old_load > base,
-                            "slot {} moved from under-target worker {}", slot, old
+                            "{at}: slot {slot} moved from under-target worker {old}"
                         );
                     }
                 }

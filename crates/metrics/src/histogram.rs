@@ -360,6 +360,8 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn empty_histogram() {
@@ -614,70 +616,76 @@ mod tests {
         let _ = s.percentile(99.0); // must not panic
     }
 
-    mod properties {
-        use super::super::*;
-        use proptest::prelude::*;
+    /// Values below `2^max_bits` spread over every magnitude, so the
+    /// exact sub-64 range and the wide buckets are both exercised.
+    fn seeded_values(rng: &mut StdRng, max_bits: u32, len: usize) -> Vec<u64> {
+        (0..len)
+            .map(|_| rng.gen::<u64>() >> rng.gen_range(64 - max_bits..64))
+            .collect()
+    }
 
-        proptest! {
-            #![proptest_config(ProptestConfig { cases: 96, ..Default::default() })]
-
-            /// The documented guarantee: every reported percentile is an
-            /// upper bound on the true empirical percentile, within the
-            /// bucket's relative width (`1/SUB_BUCKETS`, with a +1 slack
-            /// for the exact sub-64 range).
-            fn prop_percentile_relative_error_bounded(
-                values in proptest::collection::vec(0u64..(1u64 << 40), 1..200),
-                p_tenths in 0u32..1001,
-            ) {
-                let h = Histogram::new();
-                for &v in &values {
-                    h.record(v);
-                }
-                let s = h.snapshot();
-                let p = f64::from(p_tenths) / 10.0;
-                let mut sorted = values.clone();
-                sorted.sort_unstable();
+    /// The documented guarantee: every reported percentile is an upper
+    /// bound on the true empirical percentile, within the bucket's
+    /// relative width (`1/SUB_BUCKETS`, with a +1 slack for the exact
+    /// sub-64 range).
+    #[test]
+    fn seeded_percentile_relative_error_bounded() {
+        for seed in 1..=96u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let len = rng.gen_range(1..200);
+            let values = seeded_values(&mut rng, 40, len);
+            let h = Histogram::new();
+            for &v in &values {
+                h.record(v);
+            }
+            let s = h.snapshot();
+            let mut sorted = values;
+            sorted.sort_unstable();
+            for _ in 0..8 {
+                let p = f64::from(rng.gen_range(0u32..1001)) / 10.0;
                 let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
                 let truth = sorted[rank - 1];
                 let got = s.percentile(p);
-                prop_assert!(
+                assert!(
                     got >= truth,
-                    "p{p}: reported {got} below true percentile {truth}"
+                    "seed {seed} p{p}: reported {got} below true percentile {truth}"
                 );
                 let bound = truth + truth / (SUB_BUCKETS as u64 / 2) + 1;
-                prop_assert!(
+                assert!(
                     got <= bound,
-                    "p{p}: reported {got} exceeds error bound {bound} (true {truth})"
+                    "seed {seed} p{p}: reported {got} exceeds error bound {bound} (true {truth})"
                 );
             }
+        }
+    }
 
-            /// Merging per-worker histograms must agree with recording the
-            /// concatenated stream into one histogram, at every percentile.
-            fn prop_merge_equals_concatenation(
-                a in proptest::collection::vec(0u64..(1u64 << 30), 0..100),
-                b in proptest::collection::vec(0u64..(1u64 << 30), 0..100),
-            ) {
-                let ha = Histogram::new();
-                let hb = Histogram::new();
-                let hall = Histogram::new();
-                for &v in &a {
-                    ha.record(v);
+    /// Merging per-worker histograms must agree with recording the
+    /// concatenated stream into one histogram, at every percentile.
+    #[test]
+    fn seeded_merge_equals_concatenation() {
+        for seed in 1..=96u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (ha, hb, hall) = (Histogram::new(), Histogram::new(), Histogram::new());
+            for h in [&ha, &hb] {
+                let len = rng.gen_range(0..100);
+                for v in seeded_values(&mut rng, 30, len) {
+                    h.record(v);
                     hall.record(v);
                 }
-                for &v in &b {
-                    hb.record(v);
-                    hall.record(v);
-                }
-                ha.merge(&hb);
-                let merged = ha.snapshot();
-                let direct = hall.snapshot();
-                prop_assert_eq!(merged.count, direct.count);
-                prop_assert_eq!(merged.sum, direct.sum);
-                prop_assert_eq!(merged.max, direct.max);
-                prop_assert_eq!(merged.min, direct.min);
-                for p in [0.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
-                    prop_assert_eq!(merged.percentile(p), direct.percentile(p));
-                }
+            }
+            ha.merge(&hb);
+            let merged = ha.snapshot();
+            let direct = hall.snapshot();
+            assert_eq!(merged.count, direct.count, "seed {seed}");
+            assert_eq!(merged.sum, direct.sum, "seed {seed}");
+            assert_eq!(merged.max, direct.max, "seed {seed}");
+            assert_eq!(merged.min, direct.min, "seed {seed}");
+            for p in [0.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
+                assert_eq!(
+                    merged.percentile(p),
+                    direct.percentile(p),
+                    "seed {seed} p{p}"
+                );
             }
         }
     }

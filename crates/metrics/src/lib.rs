@@ -11,12 +11,10 @@
 //! recording on the serving hot path.
 
 pub mod histogram;
-pub mod striped;
 pub mod table;
 pub mod throughput;
 
 pub use histogram::{Histogram, Snapshot};
-pub use striped::StripedHistogram;
 pub use table::Table;
 pub use throughput::ThroughputMeter;
 

@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver};
 use helios_membership::RouteTable;
 use helios_telemetry::registry::{Counter, Gauge, Registry};
 use helios_telemetry::{HealthReport, Histogram, OpsServer, OpsState};

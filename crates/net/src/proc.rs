@@ -33,7 +33,7 @@ use helios_membership::{RouteTable, Router};
 use helios_mq::{Broker, Topic, TopicConfig};
 use helios_query::KHopQuery;
 use helios_telemetry::registry::Registry;
-use helios_telemetry::{FlightRecorder, HealthReport, OpsServer, OpsState};
+use helios_telemetry::{FlightRecorder, HealthReport, OpsServer, OpsState, TraceCtx};
 use helios_types::{
     hash::route, Encode, GraphUpdate, HeliosError, MemGauge, PartitionId, Result, SamplingWorkerId,
     ServingWorkerId, VertexId,
@@ -79,7 +79,7 @@ struct ServeHostService {
 
 impl NetService for ServeHostService {
     fn serve_encoded(&self, seed: VertexId, out: &mut Vec<u8>) -> Result<()> {
-        self.worker.serve_encoded(seed, out)
+        self.worker.serve_encoded(seed, TraceCtx::NONE, out)
     }
 
     fn handle(&self, payload: Payload) -> Payload {

@@ -124,17 +124,6 @@ impl Budget {
             held: true,
         }
     }
-
-    /// Take a permit only if one is free right now.
-    pub(crate) fn try_acquire(&self) -> Option<Permit> {
-        match self.tx.try_send(()) {
-            Ok(()) => Some(Permit {
-                rx: self.rx.clone(),
-                held: true,
-            }),
-            Err(_) => None,
-        }
-    }
 }
 
 /// RAII guard for one in-flight slot; releases on drop.

@@ -494,7 +494,8 @@ mod tests {
     use super::*;
     use helios_membership::RouteTable;
     use helios_types::{EdgeType, EdgeUpdate, Timestamp, VertexType, VertexUpdate};
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn roundtrip(frame: &Frame) {
         let bytes = frame.to_bytes();
@@ -704,48 +705,84 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn corrupt_single_byte_never_panics(idx in 0usize..200, flip in 1u8..=255) {
+    /// Seeds for the randomised loops; a failure names the seed and case.
+    const SEEDS: [u64; 4] = [1, 2, 3, 0xC0FFEE];
+
+    fn assert_decodes_or_codec_error(bytes: &[u8], at: &str) {
+        match Frame::decode(bytes) {
+            Ok(_) | Err(HeliosError::Codec(_)) => {}
+            Err(other) => panic!("{at}: unexpected error class: {other}"),
+        }
+    }
+
+    #[test]
+    fn corrupt_single_byte_never_panics() {
+        // Either the frame still decodes (the flip hit a don't-care bit
+        // pattern that yields another valid frame) or it fails with a
+        // codec error; it must never panic. Every byte of every kind is
+        // hit, with a seeded non-zero flip.
+        for seed in SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed);
             for frame in all_kinds() {
-                let mut bytes = frame.to_bytes().to_vec();
-                let i = idx % bytes.len();
-                bytes[i] ^= flip;
-                // Either it still decodes (the flip hit a don't-care bit
-                // pattern that yields another valid frame) or it fails
-                // with a codec error; it must never panic.
-                match Frame::decode(&bytes) {
-                    Ok(_) | Err(HeliosError::Codec(_)) => {}
-                    Err(other) => panic!("unexpected error class: {other}"),
+                let good = frame.to_bytes().to_vec();
+                for i in 0..good.len() {
+                    let flip: u8 = rng.gen_range(1..=255);
+                    let mut bytes = good.clone();
+                    bytes[i] ^= flip;
+                    let kind = frame.payload.kind_name();
+                    assert_decodes_or_codec_error(
+                        &bytes,
+                        &format!("seed {seed} kind {kind} byte {i} ^ {flip:#x}"),
+                    );
                 }
             }
         }
+    }
 
-        #[test]
-        fn random_bytes_never_panic(len in 0usize..96, seed in 0u64..u64::MAX) {
-            // Deterministic pseudo-random garbage; no valid magic required.
-            let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-            let bytes: Vec<u8> = (0..len)
-                .map(|_| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (state >> 33) as u8
-                })
-                .collect();
-            match Frame::decode(&bytes) {
-                Ok(_) | Err(HeliosError::Codec(_)) => {}
-                Err(other) => panic!("unexpected error class: {other}"),
+    #[test]
+    fn random_bytes_never_panic() {
+        // Garbage with no valid magic, and garbage behind a valid header.
+        let header = Frame {
+            request_id: 0,
+            payload: Payload::HealthReq,
+        }
+        .to_bytes();
+        for seed in SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for case in 0..256 {
+                let mut bytes = vec![0u8; rng.gen_range(0..96)];
+                rng.fill(&mut bytes[..]);
+                let at = format!("seed {seed} case {case}");
+                assert_decodes_or_codec_error(&bytes, &at);
+                let keep = bytes.len().min(3);
+                bytes[..keep].copy_from_slice(&header[..keep]);
+                assert_decodes_or_codec_error(&bytes, &at);
             }
         }
+    }
 
-        #[test]
-        fn serve_and_ack_round_trip_any_values(seed in 0u64..u64::MAX, count in 0u64..u64::MAX, id in 0u64..u64::MAX) {
+    #[test]
+    fn serve_and_ack_round_trip_any_values() {
+        for seed in SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..128 {
+                let request_id = rng.gen();
+                roundtrip(&Frame {
+                    request_id,
+                    payload: Payload::Serve {
+                        seed: VertexId(rng.gen()),
+                    },
+                });
+                roundtrip(&Frame {
+                    request_id,
+                    payload: Payload::Ack { count: rng.gen() },
+                });
+            }
+        }
+        for edge in [0, u64::MAX] {
             roundtrip(&Frame {
-                request_id: id,
-                payload: Payload::Serve { seed: VertexId(seed) },
-            });
-            roundtrip(&Frame {
-                request_id: id,
-                payload: Payload::Ack { count },
+                request_id: edge,
+                payload: Payload::Ack { count: edge },
             });
         }
     }

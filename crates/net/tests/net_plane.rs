@@ -1,7 +1,8 @@
 //! Network-plane integration tests over loopback: transport equivalence
 //! (in-process vs TCP), client pipelining under a bounded in-flight
-//! budget, corrupt-frame handling, gateway admission control, and the
-//! gateway's worker-aware /healthz aggregation.
+//! budget, corrupt-frame handling, gateway admission control, the
+//! gateway's worker-aware /healthz aggregation, and serve-scratch
+//! accounting on a serve worker's connection threads.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -9,12 +10,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use helios_core::HeliosConfig;
+use helios_net::wire::read_frame;
 use helios_net::{
-    Client, Gateway, GatewayConfig, InProcTransport, NetMetrics, NetServer, NetService, Payload,
-    TcpOptions, TcpTransport, Transport,
+    Client, Frame, Gateway, GatewayConfig, InProcTransport, NetMetrics, NetServer, NetService,
+    Payload, ServeHost, ServeHostConfig, TcpOptions, TcpTransport, Transport,
 };
+use helios_query::{KHopQuery, SamplingStrategy};
 use helios_telemetry::Registry;
-use helios_types::{HeliosError, VertexId};
+use helios_types::{EdgeType, HeliosError, VertexId, VertexType};
 
 /// A deterministic service: the reply for seed `v` is a function of `v`,
 /// so in-process and TCP replies can be compared byte for byte.
@@ -251,4 +255,63 @@ fn gateway_healthz_reports_dead_workers_as_503() {
     );
     gateway.shutdown();
     live.shutdown();
+}
+
+/// A serve worker's connection threads are its serving threads: each
+/// charges its reusable scratch to the worker's `serve_scratch` gauge
+/// (the cell behind `mem.bytes{component=serve_scratch}`) while it lives
+/// and releases it when its connection closes.
+#[test]
+fn serve_scratch_is_charged_by_connection_threads_and_released_on_close() {
+    let query = KHopQuery::builder(VertexType(0))
+        .hop(EdgeType(0), VertexType(1), 2, SamplingStrategy::Random)
+        .build()
+        .unwrap();
+    let host = ServeHost::start(ServeHostConfig {
+        sew: 0,
+        listen: "127.0.0.1:0".into(),
+        ops_addr: None,
+        config: HeliosConfig::with_workers(1, 1),
+        query,
+    })
+    .unwrap();
+    let scratch = host.worker().mem_gauges().serve_scratch.clone();
+    assert_eq!(scratch.get(), 0, "no serving thread yet");
+
+    // Two plain sockets, so the test decides when they close (a dropped
+    // `Client` keeps its sockets until the peer hangs up).
+    let mut conns: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(host.addr()).unwrap())
+        .collect();
+    for raw in 0..16u64 {
+        let conn = &mut conns[raw as usize % 2];
+        let request = Frame {
+            request_id: raw,
+            payload: Payload::Serve {
+                seed: VertexId(raw),
+            },
+        };
+        conn.write_all(&request.to_bytes()).unwrap();
+        let (reply, _) = read_frame(conn).unwrap().expect("reply frame");
+        assert!(
+            matches!(reply.payload, Payload::ServeOk { .. }),
+            "seed {raw}: {}",
+            reply.payload.kind_name()
+        );
+    }
+    assert_eq!(host.worker().served(), 16);
+    assert!(
+        scratch.get() > 0,
+        "connection threads served but charged no scratch"
+    );
+
+    // Closing the connections ends their server threads, whose
+    // thread-local scratch releases its share as it drops.
+    drop(conns);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while scratch.get() != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(scratch.get(), 0, "closed connections still hold scratch");
+    host.shutdown();
 }

@@ -158,7 +158,7 @@ struct FeatRef {
 /// `Vec<f32>` per feature vector, the arena stores all children in one
 /// flat vertex buffer and all features in one flat f32 buffer, with
 /// `(start, len)` references on top. [`SubgraphArena::reset`] keeps the
-/// buffers' capacity, so a serve lane reaches a steady state where
+/// buffers' capacity, so a serving thread reaches a steady state where
 /// assembling a result allocates nothing at all. [`SubgraphArena::view`]
 /// borrows the assembled result for encoding or owned conversion.
 #[derive(Debug, Default)]
@@ -198,7 +198,7 @@ impl SubgraphArena {
     }
 
     /// Bytes of buffer capacity this arena holds onto across resets —
-    /// the steady-state footprint a serve lane pays for its reuse. Used
+    /// the steady-state footprint a serving thread pays for its reuse. Used
     /// by the serving worker's scratch accounting.
     pub fn capacity_bytes(&self) -> usize {
         self.verts.capacity() * std::mem::size_of::<VertexId>()

@@ -79,9 +79,8 @@ pub fn adhoc_weighted(
 mod tests {
     use super::*;
     use crate::reservoir::{Reservoir, SamplingStrategy};
-    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn edges(n: u64) -> Vec<NeighborEdge> {
         (0..n)
@@ -141,49 +140,54 @@ mod tests {
     // The headline equivalence (§5.2): "The data distribution of reservoir
     // sampling is the same as ad-hoc sampling". For TopK this is exact;
     // check it on arbitrary streams.
-    proptest! {
-        #[test]
-        fn prop_topk_reservoir_equals_adhoc(
-            ts_list in proptest::collection::vec(0u64..1000, 1..60),
-            k in 1u32..8
-        ) {
-            let es: Vec<NeighborEdge> = ts_list.iter().enumerate().map(|(i, &t)| NeighborEdge {
-                neighbor: VertexId(i as u64),
-                ts: Timestamp(t),
-                weight: 1.0,
-            }).collect();
+    #[test]
+    fn seeded_topk_reservoir_equals_adhoc() {
+        for seed in 1..=128u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k: u32 = rng.gen_range(1..8);
+            let es: Vec<NeighborEdge> = (0..rng.gen_range(1..60u64))
+                .map(|i| NeighborEdge {
+                    neighbor: VertexId(i),
+                    ts: Timestamp(rng.gen_range(0..1000)),
+                    weight: 1.0,
+                })
+                .collect();
 
             let mut r = Reservoir::new(SamplingStrategy::TopK, k);
-            let mut g = StdRng::seed_from_u64(0);
             for e in &es {
-                r.offer(e.neighbor, e.ts, e.weight, &mut g);
+                r.offer(e.neighbor, e.ts, e.weight, &mut rng);
             }
             let mut res_ts: Vec<u64> = r.entries().iter().map(|e| e.ts.millis()).collect();
             res_ts.sort_unstable();
 
-            let mut adhoc_ts: Vec<u64> = adhoc_topk(&es, k as usize).iter().map(|e| e.ts.millis()).collect();
+            let mut adhoc_ts: Vec<u64> = adhoc_topk(&es, k as usize)
+                .iter()
+                .map(|e| e.ts.millis())
+                .collect();
             adhoc_ts.sort_unstable();
 
-            prop_assert_eq!(res_ts, adhoc_ts);
+            assert_eq!(res_ts, adhoc_ts, "seed {seed}: k {k}, {} edges", es.len());
         }
+    }
 
-        #[test]
-        fn prop_random_reservoir_size_invariant(
-            n in 1u64..200, k in 1u32..16
-        ) {
+    #[test]
+    fn seeded_random_reservoir_size_invariant() {
+        for seed in 1..=128u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, k): (u64, u32) = (rng.gen_range(1..200), rng.gen_range(1..16));
+            let at = format!("seed {seed}: n {n}, k {k}");
             let mut r = Reservoir::new(SamplingStrategy::Random, k);
-            let mut g = StdRng::seed_from_u64(9);
             for v in 0..n {
-                r.offer(VertexId(v), Timestamp(v), 1.0, &mut g);
+                r.offer(VertexId(v), Timestamp(v), 1.0, &mut rng);
             }
-            prop_assert_eq!(r.entries().len() as u64, n.min(u64::from(k)));
+            assert_eq!(r.entries().len() as u64, n.min(u64::from(k)), "{at}");
             // All sampled neighbors must come from the stream.
-            prop_assert!(r.neighbors().all(|v| v.raw() < n));
+            assert!(r.neighbors().all(|v| v.raw() < n), "{at}");
             // No duplicate neighbors for a distinct-neighbor stream.
             let mut ids: Vec<u64> = r.neighbors().map(|v| v.raw()).collect();
             ids.sort_unstable();
             ids.dedup();
-            prop_assert_eq!(ids.len(), r.entries().len());
+            assert_eq!(ids.len(), r.entries().len(), "{at}");
         }
     }
 

@@ -17,7 +17,7 @@
 //! `mq.lag{group=sew-0-r0,topic=samples-0}`. Labels are sorted by key so
 //! the same logical instrument always renders to the same string.
 
-use helios_metrics::{Histogram, Snapshot, StripedHistogram, Table};
+use helios_metrics::{Histogram, Snapshot, Table};
 use helios_types::FxHashMap;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -163,28 +163,6 @@ impl Registry {
                 .entry(key)
                 .or_insert_with(|| Arc::new(Histogram::new())),
         )
-    }
-
-    /// Get or create a lane-striped histogram: `lanes` stripes, each
-    /// registered as `name{labels,lane=<i>}` so exposition and
-    /// [`RegistrySnapshot::histogram_total`] still see every observation,
-    /// while each recording lane touches only its own stripe's cache
-    /// lines (the multicore serve path's stage histograms).
-    pub fn histogram_striped(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        lanes: usize,
-    ) -> StripedHistogram {
-        let stripes = (0..lanes.max(1))
-            .map(|i| {
-                let lane = i.to_string();
-                let mut all: Vec<(&str, &str)> = labels.to_vec();
-                all.push(("lane", &lane));
-                self.histogram(name, &all)
-            })
-            .collect();
-        StripedHistogram::from_stripes(stripes)
     }
 
     /// Register an externally created histogram under `name{labels}`,
@@ -420,24 +398,6 @@ mod tests {
         g.set(10);
         g.add(-3);
         assert_eq!(r.snapshot().gauge("q.depth"), 7);
-    }
-
-    #[test]
-    fn striped_histograms_register_one_stripe_per_lane() {
-        let r = Registry::new();
-        let h = r.histogram_striped("s.stage", &[("w", "0")], 3);
-        assert_eq!(h.lanes(), 3);
-        h.stripe(0).record(1_000);
-        h.stripe(2).record(9_000);
-        let snap = r.snapshot();
-        assert_eq!(snap.histograms["s.stage{lane=0,w=0}"].count, 1);
-        assert_eq!(snap.histograms["s.stage{lane=2,w=0}"].count, 1);
-        // Label-aggregated view folds all lanes.
-        assert_eq!(snap.histogram_total("s.stage").unwrap().count, 2);
-        // Re-requesting yields the same underlying stripes.
-        let again = r.histogram_striped("s.stage", &[("w", "0")], 3);
-        again.stripe(0).record(1);
-        assert_eq!(h.stripe(0).snapshot().count, 2);
     }
 
     #[test]

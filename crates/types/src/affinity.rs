@@ -1,11 +1,11 @@
-//! Best-effort CPU affinity for serve lanes and bench drivers.
+//! Best-effort CPU affinity for bench drivers.
 //!
-//! The multicore serve path pins each serve lane (and, in the bench rig,
-//! each client thread) to one core so the threads×cores sweeps measure
-//! core scaling rather than scheduler migration noise. Pinning is always
-//! best-effort: on non-Linux targets, or when the syscall is refused
-//! (containers with a restricted cpuset), [`pin_to_core`] returns `false`
-//! and the thread runs unpinned — never an error.
+//! The bench rig pins each serving thread to one core so the
+//! threads×cores sweeps measure core scaling rather than scheduler
+//! migration noise. Pinning is always best-effort: on non-Linux targets,
+//! or when the syscall is refused (containers with a restricted cpuset),
+//! [`pin_to_core`] returns `false` and the thread runs unpinned — never
+//! an error.
 //!
 //! The call goes straight to glibc's `sched_setaffinity` symbol (already
 //! linked by `std`), so no external crate is needed.

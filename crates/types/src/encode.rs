@@ -260,7 +260,8 @@ impl Decode for GraphUpdate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_vertex() -> VertexUpdate {
         VertexUpdate {
@@ -366,42 +367,66 @@ mod tests {
         assert!(String::decode_from_slice(&buf).is_err());
     }
 
-    proptest! {
-        #[test]
-        fn prop_edge_roundtrip(
-            etype in 0u16..16, st in 0u16..8, s in any::<u64>(),
-            dt in 0u16..8, d in any::<u64>(), ts in any::<u64>(), w in any::<f32>()
-        ) {
-            prop_assume!(!w.is_nan());
-            let e = EdgeUpdate {
-                etype: EdgeType(etype),
-                src_type: VertexType(st),
-                src: VertexId(s),
-                dst_type: VertexType(dt),
-                dst: VertexId(d),
-                ts: Timestamp(ts),
-                weight: w,
-            };
-            let back = EdgeUpdate::decode_from_slice(&e.encode_to_bytes()).unwrap();
-            prop_assert_eq!(back, e);
-        }
+    /// Seeds for the randomised round-trip loops; a failure names the
+    /// seed and case that reproduce it.
+    const SEEDS: [u64; 4] = [1, 2, 3, 0xC0FFEE];
+    const CASES: usize = 128;
 
-        #[test]
-        fn prop_vertex_roundtrip(
-            vt in 0u16..8, id in any::<u64>(), ts in any::<u64>(),
-            feat in proptest::collection::vec(-1e6f32..1e6, 0..64)
-        ) {
-            let v = VertexUpdate { vtype: VertexType(vt), id: VertexId(id), feature: feat, ts: Timestamp(ts) };
-            let back = VertexUpdate::decode_from_slice(&v.encode_to_bytes()).unwrap();
-            prop_assert_eq!(back, v);
+    #[test]
+    fn seeded_edge_roundtrip() {
+        for seed in SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for case in 0..CASES {
+                // Any bit pattern but NaN, which never equals itself.
+                let weight = f32::from_bits(rng.gen());
+                if weight.is_nan() {
+                    continue;
+                }
+                let e = EdgeUpdate {
+                    etype: EdgeType(rng.gen_range(0..16)),
+                    src_type: VertexType(rng.gen_range(0..8)),
+                    src: VertexId(rng.gen()),
+                    dst_type: VertexType(rng.gen_range(0..8)),
+                    dst: VertexId(rng.gen()),
+                    ts: Timestamp(rng.gen()),
+                    weight,
+                };
+                let back = EdgeUpdate::decode_from_slice(&e.encode_to_bytes()).unwrap();
+                assert_eq!(back, e, "seed {seed} case {case}");
+            }
         }
+    }
 
-        #[test]
-        fn prop_random_bytes_never_panic(raw in proptest::collection::vec(any::<u8>(), 0..256)) {
-            // Decoding arbitrary garbage must return Err or Ok, never panic.
-            let _ = GraphUpdate::decode_from_slice(&raw);
-            let _ = Vec::<u64>::decode_from_slice(&raw);
-            let _ = String::decode_from_slice(&raw);
+    #[test]
+    fn seeded_vertex_roundtrip() {
+        for seed in SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for case in 0..CASES {
+                let dim = rng.gen_range(0..64);
+                let v = VertexUpdate {
+                    vtype: VertexType(rng.gen_range(0..8)),
+                    id: VertexId(rng.gen()),
+                    feature: (0..dim).map(|_| rng.gen_range(-1e6f32..1e6)).collect(),
+                    ts: Timestamp(rng.gen()),
+                };
+                let back = VertexUpdate::decode_from_slice(&v.encode_to_bytes()).unwrap();
+                assert_eq!(back, v, "seed {seed} case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_random_bytes_never_panic() {
+        // Decoding arbitrary garbage must return Err or Ok, never panic.
+        for seed in SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..CASES {
+                let mut raw = vec![0u8; rng.gen_range(0..256)];
+                rng.fill(&mut raw[..]);
+                let _ = GraphUpdate::decode_from_slice(&raw);
+                let _ = Vec::<u64>::decode_from_slice(&raw);
+                let _ = String::decode_from_slice(&raw);
+            }
         }
     }
 }

@@ -72,7 +72,6 @@ fn exported_metrics_are_documented_in_readme() {
     assert!(helios.quiesce(Duration::from_secs(60)));
     for u in 1..=16u64 {
         let _ = helios.serve(VertexId(u));
-        let _ = helios.serve_queued(VertexId(u));
     }
     let profiler = Profiler::new(helios.telemetry());
     let _ = profiler.collect_collapsed(Duration::from_millis(50));

@@ -131,10 +131,13 @@ fn mem_gauges_match_reference_counts_across_ingest_flush_evict() {
         "block cache gauge never goes negative"
     );
 
-    // Evict: TTL-expire everything; memtable-backed bytes fall and keep
-    // matching the stores' own accounting.
-    let before_evict = acct.component_bytes("sample_table") + acct.component_bytes("feature_table");
+    // Evict: TTL-expire everything, and let the re-publication it
+    // triggers from the sampler shards land. The memtable-backed bytes
+    // keep matching the stores' own accounting. (They need not fall: with
+    // a 2 KB budget the live memtables hold whatever the last rotation
+    // left, often nothing, and the re-published entries land on top.)
     helios.expire_before(Timestamp(u64::MAX - 1)).unwrap();
+    assert!(helios.quiesce(Duration::from_secs(60)));
     acct.export();
     let after_evict = acct.component_bytes("sample_table") + acct.component_bytes("feature_table");
     let reference_after: i64 = helios
@@ -146,10 +149,6 @@ fn mem_gauges_match_reference_counts_across_ingest_flush_evict() {
         })
         .sum();
     within_5pct(after_evict, reference_after, "cache tables after evict");
-    assert!(
-        after_evict <= before_evict,
-        "eviction cannot grow the accounted footprint ({before_evict} -> {after_evict})"
-    );
 
     // The ledger is visible over /metrics with component labels.
     let (status, body) = http_get(ops, "/metrics");
@@ -307,10 +306,10 @@ fn mem_accounting_survives_rescale_soak() {
 }
 
 /// `GET /profile?seconds=1` returns non-empty folded stacks naming at
-/// least one serve lane and one kv flusher thread, and bumps the
+/// least one cache updater and one kv flusher thread, and bumps the
 /// `profiling.samples` counter.
 #[test]
-fn profile_endpoint_names_serve_lanes_and_flushers() {
+fn profile_endpoint_names_updaters_and_flushers() {
     let cache_dir = std::env::temp_dir().join(format!("helios-profile-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
 
@@ -328,8 +327,8 @@ fn profile_endpoint_names_serve_lanes_and_flushers() {
     assert!(status.contains("200"), "{status}: {body}");
     assert!(!body.trim().is_empty(), "collapsed output empty");
     assert!(
-        body.lines().any(|l| l.contains("-serve-")),
-        "no serve-lane thread in profile:\n{body}"
+        body.lines().any(|l| l.contains("-updater-")),
+        "no updater thread in profile:\n{body}"
     );
     assert!(
         body.lines().any(|l| l.contains("helios-kv-flush")),
