@@ -1,7 +1,7 @@
 //! Deployment configuration.
 
-use helios_graphstore::PartitionPolicy;
 use helios_telemetry::SloConfig;
+use helios_types::PartitionPolicy;
 use std::path::PathBuf;
 use std::time::Duration;
 

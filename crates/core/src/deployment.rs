@@ -1,32 +1,27 @@
 //! Wiring a full Helios deployment (Fig. 5) in one process, with threads
-//! standing in for machines.
+//! standing in for machines: the [`SamplingTier`] plus N in-process
+//! serving workers on the tier's broker.
 
 use crate::config::{FreshnessConfig, HeliosConfig};
 use crate::coordinator::Coordinator;
-use crate::messages::UpdateEnvelope;
-use crate::sampler::{topics, SamplerMetrics, SamplingWorker};
+use crate::sampler::{SamplerMetrics, SamplingWorker};
 use crate::serving::ServingWorker;
-use helios_graphstore::PartitionPolicy;
-use helios_membership::{RouteTable, Router};
-use helios_mq::{Broker, TopicConfig};
-use helios_query::{KHopQuery, SampledSubgraph};
+use crate::tier::{SamplingTier, Watermarks};
+use helios_membership::Router;
 use helios_metrics::Histogram;
+use helios_mq::Broker;
+use helios_query::{KHopQuery, SampledSubgraph};
 use helios_telemetry::{
     span, DynRoutes, EventKind, FlightRecorder, HealthReport, MemAccountant, OpsServer, OpsState,
     Profiler, Registry, RegistrySnapshot, RetainedTraces, SloTracker, StatsReporter, TraceCtx,
 };
 use helios_types::{
-    hash::route, Decode, Encode, GraphUpdate, HeliosError, MemGauge, PartitionId, Result,
-    SamplingWorkerId, ServingWorkerId, Timestamp, VertexId, VertexUpdate,
+    GraphUpdate, HeliosError, Result, ServingWorkerId, Timestamp, VertexId, VertexUpdate,
 };
 use parking_lot::RwLock;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One sampling worker's contribution to the drain equation: its
-/// counters plus a closure probing its shard-mailbox backlog.
-type DrainSource = (Arc<SamplerMetrics>, Box<dyn Fn() -> usize + Send + Sync>);
 
 /// Stops the freshness-probe thread on drop.
 struct FreshnessProber {
@@ -80,60 +75,36 @@ impl ServingSet {
         let base = sew as usize * self.replicas;
         &self.workers[base..base + self.replicas]
     }
+
+    /// The drain equation with this set's replicas consuming the tier's
+    /// sample queues: every replica applies its logical worker's whole
+    /// queue, and malformed records are counted, never applied — both
+    /// tallies drain it.
+    fn watermarks(&self, tier: &SamplingTier) -> Watermarks {
+        let mut w = tier.watermarks(self.logical() as u32);
+        w.replicas = self.replicas as u64;
+        for s in &self.workers {
+            w.queues[s.id().0 as usize].applied += s.applied() + s.decode_errors();
+        }
+        w
+    }
 }
 
 /// Shared handle to the live serving set, cloned into monitor threads.
 type SharedServing = Arc<RwLock<Arc<ServingSet>>>;
 
-/// Topology a checkpoint was taken under, written alongside the shard
-/// files so a restore into a different deployment shape is detected
-/// (satellite of the elastic-membership work) instead of silently
-/// mis-routing restored subscriptions.
-struct CheckpointManifest {
-    sampling_workers: u32,
-    sampling_threads: u32,
-    serving_workers: u32,
-    table: RouteTable,
-}
-
-impl CheckpointManifest {
-    const FILE: &'static str = "manifest.ckpt";
-}
-
-impl Encode for CheckpointManifest {
-    fn encode(&self, buf: &mut bytes::BytesMut) {
-        self.sampling_workers.encode(buf);
-        self.sampling_threads.encode(buf);
-        self.serving_workers.encode(buf);
-        self.table.encode(buf);
-    }
-}
-
-impl Decode for CheckpointManifest {
-    fn decode(buf: &mut impl bytes::Buf) -> Result<Self> {
-        Ok(CheckpointManifest {
-            sampling_workers: u32::decode(buf)?,
-            sampling_threads: u32::decode(buf)?,
-            serving_workers: u32::decode(buf)?,
-            table: RouteTable::decode(buf)?,
-        })
-    }
-}
-
-/// A running Helios deployment: coordinator + M sampling workers + N
-/// serving workers over an in-process broker.
+/// A running Helios deployment: coordinator + the sampling tier (M
+/// sampling workers) + N serving workers on the tier's broker.
 pub struct HeliosDeployment {
     pub(crate) config: HeliosConfig,
-    pub(crate) broker: Arc<Broker>,
     pub(crate) coordinator: Coordinator,
-    pub(crate) sampling: Vec<SamplingWorker>,
+    /// Topics, router and sampling workers. The router is epoch-versioned
+    /// and shared with every sampling worker: the front-end routes serves
+    /// through it; a rescale installs the committed table there after the
+    /// handoff watermark.
+    pub(crate) tier: Arc<SamplingTier>,
     /// The live serving fleet; swapped at rescale commit.
     pub(crate) serving: SharedServing,
-    /// Epoch-versioned seed→worker routing, shared with every sampling
-    /// worker. The front-end routes serves through it; a rescale installs
-    /// the committed table here after the handoff watermark.
-    pub(crate) router: Arc<Router>,
-    updates_topic: Arc<helios_mq::Topic>,
     /// Round-robin cursor for spreading requests over replicas.
     replica_rr: std::sync::atomic::AtomicU64,
     /// Per-deployment telemetry registry: every worker's counters,
@@ -172,9 +143,6 @@ pub struct HeliosDeployment {
     /// exported as `mem.bytes{component,…}` each stats tick and judged
     /// against `config.memory_budget_bytes`.
     pub(crate) accountant: Arc<MemAccountant>,
-    /// Shared gauge for all topics' retained log bytes; rescale-created
-    /// sample topics charge into the same cell.
-    pub(crate) mq_log_gauge: MemGauge,
 }
 
 /// Register one serving worker's memory gauges with the accountant. The
@@ -217,33 +185,7 @@ impl HeliosDeployment {
     ) -> Result<HeliosDeployment> {
         config.validate()?;
         let coordinator = Coordinator::new(query.clone());
-        let broker = Broker::new();
-        let m = config.sampling_workers as u32;
-        let n = config.serving_workers as u32;
-
-        // All topics charge their retained log bytes into one shared
-        // gauge, adopted by the accountant as `mem.bytes{component=mq_log}`.
-        let mq_log_gauge = MemGauge::new();
-        let mq_topic = |partitions: u32| TopicConfig {
-            partitions,
-            mem: mq_log_gauge.clone(),
-            ..Default::default()
-        };
-        let updates_topic = broker.create_topic(topics::UPDATES, mq_topic(m))?;
-        broker.create_topic(topics::CONTROL, mq_topic(m))?;
-        broker.create_topic(topics::MEMBERSHIP, mq_topic(m))?;
-        for s in 0..n {
-            broker.create_topic(&topics::samples(s), mq_topic(config.sample_queue_partitions))?;
-        }
-
-        // Epoch-0 routing table: deterministic, so the front-end and every
-        // sampling worker agree on it without a broadcast.
-        let router = Arc::new(Router::new(RouteTable::initial(
-            config.serving_workers,
-            config.route_slots as usize,
-        )));
-
-        // Serving workers first so sample topics have consumers early.
+        let mut tier = SamplingTier::create(&config)?;
         let telemetry = Arc::new(Registry::new());
 
         // Memory ledger: adopt every component gauge as it is created, so
@@ -252,7 +194,7 @@ impl HeliosDeployment {
             Arc::clone(&telemetry),
             config.memory_budget_bytes,
         ));
-        accountant.adopt("mq_log", &[], mq_log_gauge.clone());
+        accountant.adopt("mq_log", &[], tier.mq_log_gauge().clone());
 
         // Tracing control. The HELIOS_TRACE_SAMPLE env override wins over
         // the config rate *and* force-enables tracing, so a deployed
@@ -284,6 +226,9 @@ impl HeliosDeployment {
                 .map(|f| f.slo.clone())
                 .unwrap_or_default(),
         ));
+        // Serving workers before sampling workers, so sample topics have
+        // consumers early.
+        let n = config.serving_workers as u32;
         let replicas = config.serving_replicas as u32;
         let mut workers = Vec::with_capacity((n * replicas) as usize);
         for s in 0..n {
@@ -294,7 +239,7 @@ impl HeliosDeployment {
                     r,
                     &config,
                     &query,
-                    &broker,
+                    tier.broker(),
                     beacon,
                     &telemetry,
                     &recorder,
@@ -308,70 +253,16 @@ impl HeliosDeployment {
             workers,
         })));
 
-        let mut sampling = Vec::with_capacity(m as usize);
-        for w in 0..m {
-            let beacon = coordinator.register_worker(&format!("saw{w}"));
-            let worker = SamplingWorker::start(
-                SamplingWorkerId(w),
-                &config,
-                &query,
-                &broker,
-                Arc::clone(&router),
-                beacon,
-                &telemetry,
-                &recorder,
-            )?;
-            if let Some(dir) = restore_dir {
-                worker.restore(dir)?;
-            }
-            sampling.push(worker);
-        }
-
-        // A checkpoint taken under a different topology OR a different
-        // routing table: the restored subscription tables are charged to
-        // the checkpoint-era owners, so raise a flight event and re-derive
-        // every subscription from reservoir contents under the fresh
-        // epoch-0 table (satellite of the elastic-membership work; no
-        // traffic has flowed yet). The table comparison — not just worker
-        // counts — catches a checkpoint taken after a rescale (epoch > 0,
-        // rebalanced assignment, or different `route_slots`) that happens
-        // to land on the same logical worker count this deployment starts
-        // with: its slot→worker assignment still differs from the
-        // deterministic epoch-0 table the router boots from.
-        if let Some(dir) = restore_dir {
-            match std::fs::read(dir.join(CheckpointManifest::FILE)) {
-                Ok(raw) => {
-                    let manifest = CheckpointManifest::decode_from_slice(&raw)?;
-                    let mismatch = manifest.table != *router.table()
-                        || manifest.sampling_workers as usize != config.sampling_workers
-                        || manifest.sampling_threads as usize != config.sampling_threads;
-                    if mismatch {
-                        recorder.record(
-                            EventKind::TopologyMismatch,
-                            u32::MAX,
-                            u64::from(manifest.serving_workers),
-                            config.serving_workers as u64,
-                            u64::from(manifest.sampling_workers),
-                        );
-                        for w in &sampling {
-                            w.rebuild_subscriptions()?;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
+        tier.start_workers(&query, &coordinator, &telemetry, &recorder, restore_dir)?;
+        let tier = Arc::new(tier);
 
         let reporter = config.stats_interval.map(|interval| {
             Self::start_stats_reporter(
                 interval,
                 &config,
                 &telemetry,
-                &broker,
-                &sampling,
+                &tier,
                 &serving,
-                &router,
                 &coordinator,
                 &recorder,
                 &slo,
@@ -382,21 +273,12 @@ impl HeliosDeployment {
 
         let prober = config.freshness.clone().map(|fc| {
             Self::start_prober(
-                fc,
-                &query,
-                &config,
-                &updates_topic,
-                &serving,
-                &router,
-                &telemetry,
-                &slo,
-                &recorder,
-                &retained,
+                fc, &query, &tier, &serving, &telemetry, &slo, &recorder, &retained,
             )
         });
 
         let dyn_routes = DynRoutes::new();
-        Self::register_membership_route(&dyn_routes, &router, &serving);
+        Self::register_membership_route(&dyn_routes, tier.router(), &serving);
 
         let ops = match &config.ops_addr {
             Some(addr) => Some(
@@ -404,8 +286,7 @@ impl HeliosDeployment {
                     addr,
                     &config,
                     &telemetry,
-                    &broker,
-                    &sampling,
+                    &tier,
                     &serving,
                     &coordinator,
                     &recorder,
@@ -420,12 +301,9 @@ impl HeliosDeployment {
 
         Ok(HeliosDeployment {
             config,
-            broker,
             coordinator,
-            sampling,
+            tier,
             serving,
-            router,
-            updates_topic,
             replica_rr: std::sync::atomic::AtomicU64::new(0),
             telemetry,
             reporter,
@@ -439,7 +317,6 @@ impl HeliosDeployment {
             prober,
             ops,
             accountant,
-            mq_log_gauge,
         })
     }
 
@@ -479,25 +356,21 @@ impl HeliosDeployment {
     fn start_prober(
         fc: FreshnessConfig,
         query: &KHopQuery,
-        config: &HeliosConfig,
-        updates_topic: &Arc<helios_mq::Topic>,
+        tier: &Arc<SamplingTier>,
         serving: &SharedServing,
-        router: &Arc<Router>,
         telemetry: &Arc<Registry>,
         slo: &Arc<SloTracker>,
         recorder: &Arc<FlightRecorder>,
         retained: &Arc<RetainedTraces>,
     ) -> FreshnessProber {
         let seed_type = query.seed_type();
-        let m = config.sampling_workers;
         let marker = VertexId(fc.marker_vertex);
         // Markers route like any seed. Resolved per probe (not once at
         // startup): a rescale can move the marker's slot, and the probe
         // must follow it to the new owner or it would measure a drained
         // cache forever.
         let serving = Arc::clone(serving);
-        let router = Arc::clone(router);
-        let updates_topic = Arc::clone(updates_topic);
+        let tier = Arc::clone(tier);
         let freshness = telemetry.histogram("e2e.freshness", &[]);
         let timeouts = telemetry.counter("e2e.freshness_timeouts", &[]);
         let probes = telemetry.counter("e2e.freshness_probes", &[]);
@@ -527,13 +400,8 @@ impl HeliosDeployment {
                         feature: vec![expect],
                         ts: Timestamp(seq),
                     });
-                    let env = UpdateEnvelope::stamp(update);
-                    let partition = PartitionId(route(marker.raw(), m) as u32);
                     let injected = Instant::now();
-                    if updates_topic
-                        .produce_to(partition, marker.raw(), env.encode_to_bytes())
-                        .is_err()
-                    {
+                    if tier.ingest(&update).is_err() {
                         break; // broker shutting down
                     }
                     probes.incr();
@@ -545,7 +413,7 @@ impl HeliosDeployment {
                         // Re-resolve the owner every poll: a mid-probe
                         // rescale commit repoints the marker and the new
                         // owner's cache is where visibility shows up.
-                        let sew = router.owner_of(marker).0 as usize;
+                        let sew = tier.router().owner_of(marker).0 as usize;
                         let set = Arc::clone(&serving.read());
                         let seen = set
                             .workers
@@ -603,8 +471,7 @@ impl HeliosDeployment {
         addr: &str,
         config: &HeliosConfig,
         telemetry: &Arc<Registry>,
-        broker: &Arc<Broker>,
-        sampling: &[SamplingWorker],
+        tier: &Arc<SamplingTier>,
         serving: &SharedServing,
         coordinator: &Coordinator,
         recorder: &Arc<FlightRecorder>,
@@ -660,9 +527,9 @@ impl HeliosDeployment {
         }
 
         let max_lag = config.health_max_lag;
-        let lag_broker = Arc::clone(broker);
+        let lag_tier = Arc::clone(tier);
         state = state.probe(move || {
-            let report = lag_broker.lag_report();
+            let report = lag_tier.broker().lag_report();
             let worst = report.iter().max_by_key(|e| e.lag);
             match worst {
                 Some(e) if e.lag > max_lag => HealthReport::new(
@@ -677,10 +544,10 @@ impl HeliosDeployment {
             }
         });
 
-        let max_backlog = config.health_max_backlog;
-        let backlogs: Vec<_> = sampling.iter().map(|w| w.backlog_probe()).collect();
+        let max_backlog = config.health_max_backlog as u64;
+        let backlog_tier = Arc::clone(tier);
         state = state.probe(move || {
-            let total: usize = backlogs.iter().map(|p| p()).sum();
+            let total = backlog_tier.backlog();
             HealthReport::new(
                 "sampler",
                 total <= max_backlog,
@@ -723,16 +590,12 @@ impl HeliosDeployment {
             }
         });
 
-        let drain_broker = Arc::clone(broker);
-        let drain_sampling: Vec<DrainSource> = sampling
-            .iter()
-            .map(|w| (Arc::clone(w.metrics()), Box::new(w.backlog_probe()) as _))
-            .collect();
+        let drain_tier = Arc::clone(tier);
         let drain_serving = Arc::clone(serving);
         let drain_bound = config.health_max_backlog as u64;
         state = state.probe(move || {
             let set = Arc::clone(&drain_serving.read());
-            let deficit = drain_deficit(&drain_broker, &drain_sampling, &set);
+            let deficit = set.watermarks(&drain_tier).deficit();
             HealthReport::new(
                 "pipeline",
                 deficit <= drain_bound,
@@ -756,10 +619,8 @@ impl HeliosDeployment {
         interval: Duration,
         config: &HeliosConfig,
         telemetry: &Arc<Registry>,
-        broker: &Arc<Broker>,
-        sampling: &[SamplingWorker],
+        tier: &Arc<SamplingTier>,
         serving: &SharedServing,
-        router: &Arc<Router>,
         coordinator: &Coordinator,
         recorder: &Arc<FlightRecorder>,
         slo: &Arc<SloTracker>,
@@ -767,15 +628,10 @@ impl HeliosDeployment {
         accountant: &Arc<MemAccountant>,
     ) -> StatsReporter {
         let registry = Arc::clone(telemetry);
-        let broker = Arc::clone(broker);
+        let tier = Arc::clone(tier);
         let retained = Arc::clone(retained);
         let accountant = Arc::clone(accountant);
-        let probes: Vec<(String, Box<dyn Fn() -> usize + Send + Sync>)> = sampling
-            .iter()
-            .map(|w| (w.id().0.to_string(), Box::new(w.backlog_probe()) as _))
-            .collect();
         let serving = Arc::clone(serving);
-        let router = Arc::clone(router);
         let liveness = coordinator.liveness();
         let worker_timeout = config.health_worker_timeout;
         let recorder = Arc::clone(recorder);
@@ -785,7 +641,7 @@ impl HeliosDeployment {
         let mut burning = false;
         StatsReporter::start("helios-stats", interval, move || {
             let (mut total_lag, mut max_lag) = (0u64, 0u64);
-            for e in broker.lag_report() {
+            for e in tier.broker().lag_report() {
                 registry
                     .gauge("mq.lag", &[("group", &e.group), ("topic", &e.topic)])
                     .set(e.lag as i64);
@@ -809,15 +665,15 @@ impl HeliosDeployment {
             // retained-trace store so `/traces` stays current without an
             // explicit drain.
             retained.sweep();
-            for (worker, probe) in &probes {
+            for w in tier.workers() {
                 registry
-                    .gauge("actor.mailbox_depth", &[("worker", worker)])
-                    .set(probe() as i64);
+                    .gauge("actor.mailbox_depth", &[("worker", &w.id().0.to_string())])
+                    .set(w.backlog() as i64);
             }
             // Membership: routing epoch, live logical workers, and dead
             // (heartbeat-expired) workers, so `/vars` answers "what shape
             // is the fleet in" without scraping the membership topic.
-            let table = router.table();
+            let table = tier.router().table();
             registry
                 .gauge("membership.epoch", &[])
                 .set(table.epoch() as i64);
@@ -933,7 +789,7 @@ impl HeliosDeployment {
 
     /// The broker (tests/benches may attach extra consumers).
     pub fn broker(&self) -> &Arc<Broker> {
-        &self.broker
+        self.tier.broker()
     }
 
     /// The deployment's telemetry registry: all worker counters, gauges
@@ -991,17 +847,17 @@ impl HeliosDeployment {
     /// The sampling workers (M is fixed for the deployment's lifetime;
     /// only the serving fleet rescales).
     pub fn sampling_workers(&self) -> &[SamplingWorker] {
-        &self.sampling
+        self.tier.workers()
     }
 
     /// The shared seed→worker router (epoch-versioned; rescales bump it).
     pub fn router(&self) -> &Arc<Router> {
-        &self.router
+        self.tier.router()
     }
 
     /// Current routing-table epoch.
     pub fn route_epoch(&self) -> u64 {
-        self.router.epoch()
+        self.router().epoch()
     }
 
     /// Dynamic ops-server routes (`/membership` is pre-registered;
@@ -1013,45 +869,20 @@ impl HeliosDeployment {
 
     /// Metrics of each sampling worker.
     pub fn sampler_metrics(&self) -> Vec<&Arc<SamplerMetrics>> {
-        self.sampling.iter().map(SamplingWorker::metrics).collect()
+        self.sampling_workers()
+            .iter()
+            .map(SamplingWorker::metrics)
+            .collect()
     }
 
-    /// Total updates processed across sampling workers.
-    pub fn updates_processed(&self) -> u64 {
-        self.sampling.iter().map(|w| w.metrics().processed()).sum()
-    }
-
-    /// Ingest one graph update: expand per the edge partition policy and
-    /// enqueue to the partitioned update stream (front-end of Fig. 5).
+    /// Ingest one graph update into the sampling tier's update stream.
     pub fn ingest(&self, update: &GraphUpdate) -> Result<()> {
-        let m = self.config.sampling_workers;
-        match update {
-            GraphUpdate::Vertex(_) => {
-                self.produce_update(update.clone(), update.routing_vertex(), m)?;
-            }
-            GraphUpdate::Edge(e) => {
-                for (rv, copy) in self.config.policy.copies(e) {
-                    self.produce_update(GraphUpdate::Edge(copy), rv, m)?;
-                }
-            }
-        }
-        Ok(())
+        self.tier.ingest(update)
     }
 
     /// Ingest a batch.
     pub fn ingest_batch(&self, updates: &[GraphUpdate]) -> Result<()> {
-        for u in updates {
-            self.ingest(u)?;
-        }
-        Ok(())
-    }
-
-    fn produce_update(&self, update: GraphUpdate, rv: VertexId, m: usize) -> Result<()> {
-        let env = UpdateEnvelope::stamp(update);
-        let partition = PartitionId(route(rv.raw(), m) as u32);
-        self.updates_topic
-            .produce_to(partition, rv.raw(), env.encode_to_bytes())?;
-        Ok(())
+        self.tier.ingest_batch(updates)
     }
 
     /// A serving worker responsible for `seed`: the owning logical worker
@@ -1060,7 +891,7 @@ impl HeliosDeployment {
     pub fn serving_worker_for(&self, seed: VertexId) -> Arc<ServingWorker> {
         loop {
             let set = Arc::clone(&self.serving.read());
-            let sew = self.router.owner_of(seed).0 as usize;
+            let sew = self.router().owner_of(seed).0 as usize;
             // Rescale ordering keeps `table.workers() <= set.logical()`
             // (scale-out extends the set before the commit installs; a
             // scale-in installs before it truncates), but the two reads
@@ -1137,7 +968,7 @@ impl HeliosDeployment {
 
     /// Trigger TTL expiry everywhere (paper: periodic stale-data removal).
     pub fn expire_before(&self, horizon: Timestamp) -> Result<()> {
-        for w in &self.sampling {
+        for w in self.sampling_workers() {
             w.expire_before(horizon);
         }
         let set = Arc::clone(&self.serving.read());
@@ -1152,22 +983,8 @@ impl HeliosDeployment {
     /// table the snapshot was taken under. Quiesce first for a clean
     /// snapshot.
     pub fn checkpoint(&self, dir: &Path) -> Result<()> {
-        for w in &self.sampling {
-            w.checkpoint(dir)?;
-        }
-        std::fs::create_dir_all(dir)?;
-        let set = Arc::clone(&self.serving.read());
-        let manifest = CheckpointManifest {
-            sampling_workers: self.config.sampling_workers as u32,
-            sampling_threads: self.config.sampling_threads as u32,
-            serving_workers: set.logical() as u32,
-            table: (*self.router.table()).clone(),
-        };
-        std::fs::write(
-            dir.join(CheckpointManifest::FILE),
-            manifest.encode_to_bytes(),
-        )?;
-        Ok(())
+        let serving_workers = self.serving.read().logical() as u32;
+        self.tier.checkpoint(dir, serving_workers)
     }
 
     /// Spawn the coordinator's periodic checkpoint trigger (§4.1): every
@@ -1217,52 +1034,10 @@ impl HeliosDeployment {
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut stable_rounds = 0;
-        let mut last_fingerprint = (0u64, 0u64, 0u64, 0u64);
+        let mut last: Option<Watermarks> = None;
         while Instant::now() < deadline {
-            // Re-snapshot the serving set every round: quiesce may run
-            // concurrently with (or right after) a rescale.
-            let set = Arc::clone(&self.serving.read());
-            let updates_end = self.updates_topic.total_end_offset();
-            let control_end = self
-                .broker
-                .topic(topics::CONTROL)
-                .map(|t| t.total_end_offset())
-                .unwrap_or(0);
-            let n_logical = set.logical() as u32;
-            let samples_end: u64 = (0..n_logical)
-                .map(|s| {
-                    self.broker
-                        .topic(&topics::samples(s))
-                        .map(|t| t.total_end_offset())
-                        .unwrap_or(0)
-                })
-                .sum();
-
-            let mut updates_done = 0u64;
-            let mut control_done = 0u64;
-            let mut backlog = 0usize;
-            for w in &self.sampling {
-                let m = w.metrics();
-                updates_done += m.updates_processed.get();
-                control_done += m.control_processed.get();
-                backlog += w.backlog();
-            }
-            // Malformed records are counted (as decode errors), never
-            // applied — both tallies drain the queue.
-            let applied: u64 = set
-                .workers
-                .iter()
-                .map(|s| s.applied() + s.decode_errors())
-                .sum();
-            // Every replica consumes the full queue of its logical worker.
-            let samples_expected = samples_end * set.replicas as u64;
-
-            let drained = updates_done == updates_end
-                && control_done == control_end
-                && applied == samples_expected
-                && backlog == 0;
-            let fingerprint = (updates_end, control_end, samples_expected, applied);
-            if drained && fingerprint == last_fingerprint {
+            let marks = self.watermarks();
+            if marks.drained() && last.as_ref() == Some(&marks) {
                 stable_rounds += 1;
                 // Two consecutive stable observations: no in-flight message
                 // can still generate work.
@@ -1272,21 +1047,22 @@ impl HeliosDeployment {
             } else {
                 stable_rounds = 0;
             }
-            last_fingerprint = fingerprint;
+            last = Some(marks);
             std::thread::sleep(Duration::from_millis(2));
         }
         // Failed to drain: dump the flight ring with the remaining
         // deficit so the stuck stage is identifiable post-hoc.
-        let sampling: Vec<DrainSource> = self
-            .sampling
-            .iter()
-            .map(|w| (Arc::clone(w.metrics()), Box::new(w.backlog_probe()) as _))
-            .collect();
-        let set = Arc::clone(&self.serving.read());
-        let deficit = drain_deficit(&self.broker, &sampling, &set);
+        let deficit = self.watermarks().deficit();
         self.recorder
             .anomaly(EventKind::QuiesceFailed, u32::MAX, deficit, 0, 0);
         false
+    }
+
+    /// The pipeline's drain numbers right now. Re-snapshots the serving
+    /// set, so it is safe to call concurrently with a rescale.
+    fn watermarks(&self) -> Watermarks {
+        let set = Arc::clone(&self.serving.read());
+        set.watermarks(&self.tier)
     }
 
     /// Total bytes held by all serving caches (Fig. 16 numerator).
@@ -1305,18 +1081,11 @@ impl HeliosDeployment {
         if let Some(r) = self.reporter.take() {
             r.stop();
         }
-        for w in self.sampling.drain(..) {
-            w.shutdown();
-        }
+        self.tier.shutdown();
         let set = Arc::clone(&self.serving.read());
         for s in &set.workers {
             s.shutdown();
         }
-    }
-
-    /// The edge partition policy in effect.
-    pub fn policy(&self) -> PartitionPolicy {
-        self.config.policy
     }
 
     /// Convenience for tests: ingest, then quiesce.
@@ -1327,45 +1096,4 @@ impl HeliosDeployment {
         }
         Ok(())
     }
-}
-
-/// The quiesce drain equation as a single number: messages produced but
-/// not yet consumed across all pipeline stages (updates, control, sample
-/// queues × replicas) plus the sampling-shard mailbox backlog. Zero means
-/// fully drained; a live pipeline under load sits at a small positive
-/// value.
-fn drain_deficit(broker: &Broker, sampling: &[DrainSource], serving: &ServingSet) -> u64 {
-    let updates_end = broker
-        .topic(topics::UPDATES)
-        .map(|t| t.total_end_offset())
-        .unwrap_or(0);
-    let control_end = broker
-        .topic(topics::CONTROL)
-        .map(|t| t.total_end_offset())
-        .unwrap_or(0);
-    let samples_end: u64 = (0..serving.logical() as u32)
-        .map(|s| {
-            broker
-                .topic(&topics::samples(s))
-                .map(|t| t.total_end_offset())
-                .unwrap_or(0)
-        })
-        .sum();
-    let mut updates_done = 0u64;
-    let mut control_done = 0u64;
-    let mut backlog = 0u64;
-    for (m, probe) in sampling {
-        updates_done += m.updates_processed.get();
-        control_done += m.control_processed.get();
-        backlog += probe() as u64;
-    }
-    let applied: u64 = serving
-        .workers
-        .iter()
-        .map(|s| s.applied() + s.decode_errors())
-        .sum();
-    updates_end.saturating_sub(updates_done)
-        + control_end.saturating_sub(control_done)
-        + (samples_end * serving.replicas as u64).saturating_sub(applied)
-        + backlog
 }

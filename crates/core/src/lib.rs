@@ -5,7 +5,8 @@
 //! architecture (§4–§6 of *Helios: Efficient Distributed Dynamic Graph
 //! Sampling for Online GNN Inference*, PPoPP'25).
 //!
-//! A [`HeliosDeployment`] wires together:
+//! A [`HeliosDeployment`] is the [`SamplingTier`] plus in-process
+//! serving workers; together they wire up:
 //!
 //! * a **coordinator** ([`coordinator`]) that registers the user's K-hop
 //!   sampling query, decomposes it into one-hop queries with a dependency
@@ -50,6 +51,7 @@ pub mod report;
 pub mod rescale;
 pub mod sampler;
 pub mod serving;
+pub mod tier;
 
 pub use config::{FreshnessConfig, HeliosConfig};
 pub use coordinator::Coordinator;
@@ -59,6 +61,7 @@ pub use report::{DeploymentReport, SamplingReport, ServingReport};
 pub use rescale::AutoscalerGuard;
 pub use sampler::SamplingWorker;
 pub use serving::{ServingMemGauges, ServingWorker};
+pub use tier::{QueueMark, SamplingTier, Watermarks};
 
 // Membership/rescale vocabulary, re-exported so deployments can configure
 // the autoscaler without depending on helios-membership directly.

@@ -74,16 +74,19 @@ impl DeploymentReport {
     /// Build a snapshot of `deployment`.
     pub fn capture(deployment: &HeliosDeployment) -> DeploymentReport {
         let sampling = deployment
-            .sampler_metrics()
+            .tier
+            .workers()
             .iter()
-            .enumerate()
-            .map(|(i, m)| SamplingReport {
-                saw: i as u32,
-                updates_processed: m.updates_processed.get(),
-                control_processed: m.control_processed.get(),
-                published: m.published.get(),
-                update_dwell_p99_ms: m.update_dwell.percentile_ms(99.0),
-                max_shard_busy_secs: m.max_shard_busy_nanos() as f64 / 1e9,
+            .map(|w| {
+                let m = w.metrics();
+                SamplingReport {
+                    saw: w.id().0,
+                    updates_processed: m.updates_processed.get(),
+                    control_processed: m.control_processed.get(),
+                    published: m.published.get(),
+                    update_dwell_p99_ms: m.update_dwell.percentile_ms(99.0),
+                    max_shard_busy_secs: m.max_shard_busy_nanos() as f64 / 1e9,
+                }
             })
             .collect();
         let serving = deployment

@@ -42,7 +42,6 @@ use crate::deployment::{HeliosDeployment, ServingSet};
 use crate::sampler::topics;
 use crate::serving::ServingWorker;
 use helios_membership::{MembershipMsg, ScaleController, ScalePolicy, ScaleSignals};
-use helios_mq::TopicConfig;
 use helios_telemetry::EventKind;
 use helios_types::{Encode, HeliosError, PartitionId, Result, ServingWorkerId};
 use std::sync::Arc;
@@ -89,7 +88,7 @@ impl HeliosDeployment {
                 self.config.route_slots
             )));
         }
-        let cur_table = self.router.table();
+        let cur_table = self.tier.router().table();
         let cur = cur_table.workers();
         if target == cur {
             return Ok(cur_table.epoch());
@@ -130,14 +129,7 @@ impl HeliosDeployment {
                 // New sample queues charge the shared mq_log gauge, and
                 // joining workers' caches join the memory ledger — the
                 // accountant follows the fleet through rescales.
-                self.broker.create_topic(
-                    &topics::samples(s),
-                    TopicConfig {
-                        partitions: self.config.sample_queue_partitions,
-                        mem: self.mq_log_gauge.clone(),
-                        ..Default::default()
-                    },
-                )?;
+                self.tier.create_sample_queue(s)?;
                 for r in 0..replicas {
                     let beacon = self.coordinator.register_worker(&format!("sew{s}-r{r}"));
                     let worker = ServingWorker::start(
@@ -145,7 +137,7 @@ impl HeliosDeployment {
                         r,
                         &self.config,
                         &query,
-                        &self.broker,
+                        self.tier.broker(),
                         beacon,
                         &self.telemetry,
                         &self.recorder,
@@ -175,7 +167,10 @@ impl HeliosDeployment {
             })
             .and_then(|()| {
                 self.await_watermark(deadline, "prepare scan", || {
-                    self.sampling.iter().all(|w| w.prepared_epoch() >= epoch)
+                    self.tier
+                        .workers()
+                        .iter()
+                        .all(|w| w.prepared_epoch() >= epoch)
                 })
             })
             .and_then(|()| self.await_catch_up(deadline));
@@ -200,11 +195,14 @@ impl HeliosDeployment {
             table: (*new_table).clone(),
         })?;
         self.await_watermark(deadline, "commit scan", || {
-            self.sampling.iter().all(|w| w.committed_epoch() >= epoch)
+            self.tier
+                .workers()
+                .iter()
+                .all(|w| w.committed_epoch() >= epoch)
         })?;
         // Defense in depth: with zero sampling workers the broadcast has
         // no installer (idempotent — normally already done by a sampler).
-        self.router.install(Arc::clone(&new_table));
+        self.tier.router().install(Arc::clone(&new_table));
         self.recorder.record(
             EventKind::EpochBump,
             u32::MAX,
@@ -239,9 +237,9 @@ impl HeliosDeployment {
                     .deregister_worker(&format!("sew{}-r{}", w.id().0, w.replica()));
             }
             for s in target as u32..have as u32 {
-                let _ = self.broker.delete_topic(&topics::samples(s));
+                let _ = self.tier.broker().delete_topic(&topics::samples(s));
             }
-            for w in &self.sampling {
+            for w in self.tier.workers() {
                 w.invalidate_sample_topics(target as u32);
             }
         }
@@ -259,7 +257,7 @@ impl HeliosDeployment {
     /// Broadcast one membership message to every partition of the
     /// `membership` topic (one partition per sampling worker).
     fn broadcast_membership(&self, msg: &MembershipMsg) -> Result<()> {
-        let topic = self.broker.topic(topics::MEMBERSHIP)?;
+        let topic = self.tier.broker().topic(topics::MEMBERSHIP)?;
         let payload = msg.encode_to_bytes();
         for p in 0..self.config.sampling_workers as u32 {
             topic.produce_to(PartitionId(p), u64::from(p), payload.clone())?;
@@ -302,13 +300,15 @@ impl HeliosDeployment {
         let rounds = self.coordinator.dag().len() + 1;
         for _ in 0..rounds {
             let control_end = self
-                .broker
+                .tier
+                .broker()
                 .topic(topics::CONTROL)
                 .map(|t| t.total_end_offset())
                 .unwrap_or(0);
             self.await_watermark(deadline, "control drain", || {
                 let done: u64 = self
-                    .sampling
+                    .tier
+                    .workers()
                     .iter()
                     .map(|w| w.metrics().control_processed.get())
                     .sum();
@@ -316,7 +316,8 @@ impl HeliosDeployment {
             })?;
         }
         self.await_watermark(deadline, "sample-queue catch-up", || {
-            self.broker
+            self.tier
+                .broker()
                 .lag_report()
                 .iter()
                 .filter(|e| e.topic.starts_with("samples-"))
@@ -436,7 +437,8 @@ impl HeliosDeployment {
     /// One tick's autoscaler inputs, straight off live telemetry.
     pub fn scale_signals(&self) -> ScaleSignals {
         let max_sample_lag = self
-            .broker
+            .tier
+            .broker()
             .lag_report()
             .iter()
             .filter(|e| e.topic.starts_with("samples-"))
@@ -450,7 +452,7 @@ impl HeliosDeployment {
             .map(|w| w.serve_latency().percentile_ms(99.0))
             .fold(0.0f64, f64::max);
         ScaleSignals {
-            workers: self.router.table().workers(),
+            workers: self.tier.router().table().workers(),
             max_sample_lag,
             slo_short_burn: self.slo.short_burn(),
             serve_p99_ms,

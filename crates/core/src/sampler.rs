@@ -31,7 +31,7 @@ use helios_types::{
     hash::route, Decode, EdgeUpdate, Encode, FxHashMap, GraphUpdate, PartitionId, QueryHopId,
     Result, SamplingWorkerId, ServingWorkerId, Timestamp, VertexId, VertexType, VertexUpdate,
 };
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -125,12 +125,6 @@ impl SamplerMetrics {
             apply_latency: registry.histogram("sampler.apply_latency", labels),
             propagate_latency: registry.histogram("sampler.propagate_latency", labels),
         }
-    }
-
-    /// Updates processed so far (the paper's pre-sampling records/s
-    /// numerator).
-    pub fn processed(&self) -> u64 {
-        self.updates_processed.get()
     }
 
     /// The busiest sampling thread's accumulated compute time, in
@@ -969,7 +963,7 @@ pub struct SamplingWorker {
     prepared_epoch: Arc<AtomicU64>,
     /// Highest route-table epoch whose Commit scan every shard has run.
     committed_epoch: Arc<AtomicU64>,
-    pollers: Vec<JoinHandle<()>>,
+    pollers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl SamplingWorker {
@@ -1211,7 +1205,7 @@ impl SamplingWorker {
             stop,
             prepared_epoch,
             committed_epoch,
-            pollers,
+            pollers: Mutex::new(pollers),
         })
     }
 
@@ -1228,13 +1222,6 @@ impl SamplingWorker {
     /// Pending messages in the sampling shards' mailboxes.
     pub fn backlog(&self) -> usize {
         self.shards.backlog()
-    }
-
-    /// A detached probe of the shard-mailbox backlog, for reporter
-    /// threads that must not borrow the worker handle.
-    pub fn backlog_probe(&self) -> impl Fn() -> usize + Send + Sync + 'static {
-        let shards = Arc::clone(&self.shards);
-        move || shards.backlog()
     }
 
     /// Trigger TTL expiry on every shard.
@@ -1336,9 +1323,11 @@ impl SamplingWorker {
     }
 
     /// Stop polling and sampling threads (drains shard mailboxes first).
-    pub fn shutdown(mut self) {
+    /// Idempotent: the tier that owns the worker is shared with probe
+    /// threads, so it stops its workers through `&self`.
+    pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
-        for p in self.pollers.drain(..) {
+        for p in self.pollers.lock().drain(..) {
             let _ = p.join();
         }
         self.shards.stop();

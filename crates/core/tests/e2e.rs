@@ -674,7 +674,7 @@ fn both_policy_serves_undirected_neighborhoods() {
     // With the `Both` partition policy, an edge (a -CoP-> b) also makes
     // `a` appear among b's out-neighbors, so a query over an undirected
     // relation samples in both directions.
-    use helios_graphstore::PartitionPolicy;
+    use helios_types::PartitionPolicy;
     let q = KHopQuery::builder(ITEM)
         .hop(COP, ITEM, 5, SamplingStrategy::TopK)
         .build()

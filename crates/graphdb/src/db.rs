@@ -2,12 +2,12 @@
 
 use crate::cache::QueryCache;
 use crate::semaphore::Semaphore;
-use helios_graphstore::{GraphPartition, PartitionPolicy, StoredEdge};
+use helios_graphstore::{GraphPartition, StoredEdge};
 use helios_netsim::{Network, NetworkConfig};
 use helios_query::{HopSamples, KHopQuery, SampledSubgraph, SamplingStrategy};
 use helios_sampling::adhoc::{adhoc_random, adhoc_topk, adhoc_weighted, NeighborEdge};
 use helios_telemetry::{span, Counter, TraceCtx};
-use helios_types::{hash::route, FxHashMap, GraphUpdate, Result, VertexId};
+use helios_types::{hash::route, FxHashMap, GraphUpdate, PartitionPolicy, Result, VertexId};
 use parking_lot::RwLock;
 use rand::Rng;
 use std::sync::Arc;

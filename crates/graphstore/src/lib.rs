@@ -9,11 +9,9 @@
 //! * Helios sampling workers, whose feature tables are the same structure
 //!   minus adjacency (they keep reservoirs instead of full adjacency).
 //!
-//! Also implements the paper's three edge partition policies (`BySrc`,
-//! `ByDest`, `Both`) and TTL expiry of stale graph data.
+//! Also implements TTL expiry of stale graph data. The paper's three edge
+//! partition policies live in `helios_types::PartitionPolicy`.
 
 pub mod partition;
-pub mod policy;
 
 pub use partition::{GraphPartition, StoredEdge};
-pub use policy::PartitionPolicy;

@@ -45,7 +45,7 @@ impl GraphPartition {
     }
 
     /// Apply one graph update (the edge must already be routed/oriented to
-    /// this partition, see [`crate::PartitionPolicy::copies`]).
+    /// this partition, see [`helios_types::PartitionPolicy::copies`]).
     pub fn apply(&mut self, update: &GraphUpdate) {
         match update {
             GraphUpdate::Vertex(v) => self.apply_vertex(v),

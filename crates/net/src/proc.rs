@@ -17,9 +17,11 @@
 //!   the sequence they would have seen in process, and serve replies are
 //!   byte-identical to the in-process transport on the same stream.
 //!
-//! Both hosts expose the drain watermarks (`StatsOk`) a coordinator
-//! needs to decide "all ingested data has been applied" — the
-//! multi-process mirror of `HeliosDeployment::quiesce`.
+//! The sampling host is the same [`SamplingTier`] `HeliosDeployment`
+//! runs in process. Both hosts expose the drain numbers (`StatsOk`) a
+//! coordinator needs to decide "all ingested data has been applied":
+//! [`Watermarks::from_stats`] joins them into the one drain equation
+//! `HeliosDeployment::quiesce` reads.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,17 +30,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use helios_core::sampler::topics;
-use helios_core::{Coordinator, HeliosConfig, SamplingWorker, ServingWorker, UpdateEnvelope};
-use helios_membership::{RouteTable, Router};
+use helios_core::{Coordinator, HeliosConfig, SamplingTier, ServingWorker, Watermarks};
 use helios_mq::{Broker, Topic, TopicConfig};
 use helios_query::KHopQuery;
 use helios_telemetry::registry::Registry;
 use helios_telemetry::{FlightRecorder, HealthReport, OpsServer, OpsState, TraceCtx};
-use helios_types::{
-    hash::route, Encode, GraphUpdate, HeliosError, MemGauge, PartitionId, Result, SamplingWorkerId,
-    ServingWorkerId, VertexId,
-};
-use parking_lot::Mutex;
+use helios_types::{HeliosError, Result, ServingWorkerId, VertexId};
 
 use crate::server::{NetServer, NetService};
 use crate::transport::{NetMetrics, TcpOptions, TcpTransport, Transport};
@@ -47,14 +44,6 @@ use crate::wire::{ErrCode, Payload, RelayRecord};
 /// How long a relay sleeps between redelivery attempts to a serve
 /// worker that is down or unreachable.
 const RELAY_RETRY: Duration = Duration::from_millis(100);
-
-fn mq_topic(partitions: u32, mem: &MemGauge) -> TopicConfig {
-    TopicConfig {
-        partitions,
-        mem: mem.clone(),
-        ..Default::default()
-    }
-}
 
 /// Configuration for a [`ServeHost`] process.
 pub struct ServeHostConfig {
@@ -119,8 +108,11 @@ impl NetService for ServeHostService {
             },
             Payload::StatsReq => Payload::StatsOk {
                 entries: vec![
-                    ("applied".into(), self.worker.applied()),
-                    ("decode_errors".into(), self.worker.decode_errors()),
+                    (Watermarks::APPLIED.into(), self.worker.applied()),
+                    (
+                        Watermarks::DECODE_ERRORS.into(),
+                        self.worker.decode_errors(),
+                    ),
                     ("served".into(), self.worker.served()),
                 ],
             },
@@ -149,10 +141,9 @@ impl ServeHost {
         let registry = Arc::new(Registry::new());
         let recorder = FlightRecorder::new(host.config.flight_recorder_capacity);
         let broker = Broker::new();
-        let mq_mem = MemGauge::new();
         let topic = broker.create_topic(
             &topics::samples(host.sew),
-            mq_topic(host.config.sample_queue_partitions, &mq_mem),
+            TopicConfig::in_memory(host.config.sample_queue_partitions),
         )?;
         let coordinator = Coordinator::new(host.query.clone());
         let beacon = coordinator.register_worker(&format!("sew{}-r0", host.sew));
@@ -245,72 +236,12 @@ pub struct SamplingHostConfig {
     pub serve_workers: Vec<String>,
 }
 
+/// Frame dispatch for the sampling host: ingest into the tier, report
+/// its watermarks with each relay's acked count.
 struct SamplingHostService {
-    config: HeliosConfig,
-    updates_topic: Arc<Topic>,
-    control_topic: Arc<Topic>,
-    sample_topics: Vec<Arc<Topic>>,
-    workers: Arc<Mutex<Vec<SamplingWorker>>>,
+    tier: Arc<SamplingTier>,
+    /// Records each relay has had acked, by serving worker.
     forwarded: Arc<Vec<AtomicU64>>,
-}
-
-impl SamplingHostService {
-    fn ingest(&self, update: &GraphUpdate) -> Result<()> {
-        let m = self.config.sampling_workers;
-        match update {
-            GraphUpdate::Vertex(_) => {
-                self.produce_update(update.clone(), update.routing_vertex(), m)
-            }
-            GraphUpdate::Edge(e) => {
-                for (rv, copy) in self.config.policy.copies(e) {
-                    self.produce_update(GraphUpdate::Edge(copy), rv, m)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn produce_update(&self, update: GraphUpdate, rv: VertexId, m: usize) -> Result<()> {
-        let env = UpdateEnvelope::stamp(update);
-        let partition = PartitionId(route(rv.raw(), m) as u32);
-        self.updates_topic
-            .produce_to(partition, rv.raw(), env.encode_to_bytes())?;
-        Ok(())
-    }
-
-    fn stats(&self) -> Vec<(String, u64)> {
-        let workers = self.workers.lock();
-        let mut entries = vec![
-            ("updates_end".into(), self.updates_topic.total_end_offset()),
-            (
-                "updates_done".into(),
-                workers
-                    .iter()
-                    .map(|w| w.metrics().updates_processed.get())
-                    .sum(),
-            ),
-            ("control_end".into(), self.control_topic.total_end_offset()),
-            (
-                "control_done".into(),
-                workers
-                    .iter()
-                    .map(|w| w.metrics().control_processed.get())
-                    .sum(),
-            ),
-            (
-                "backlog".into(),
-                workers.iter().map(|w| w.backlog() as u64).sum(),
-            ),
-        ];
-        for (s, topic) in self.sample_topics.iter().enumerate() {
-            entries.push((format!("samples_end_{s}"), topic.total_end_offset()));
-            entries.push((
-                format!("forwarded_{s}"),
-                self.forwarded[s].load(Ordering::SeqCst),
-            ));
-        }
-        entries
-    }
 }
 
 impl NetService for SamplingHostService {
@@ -322,28 +253,28 @@ impl NetService for SamplingHostService {
 
     fn handle(&self, payload: Payload) -> Payload {
         match payload {
-            Payload::Updates { updates } => {
-                let count = updates.len() as u64;
-                for update in &updates {
-                    if let Err(e) = self.ingest(update) {
-                        return Payload::Error {
-                            code: ErrCode::from_error(&e),
-                            message: e.to_string(),
-                        };
-                    }
-                }
-                Payload::Ack { count }
-            }
-            Payload::HealthReq => {
-                let backlog: u64 = self.workers.lock().iter().map(|w| w.backlog() as u64).sum();
-                Payload::HealthOk {
-                    healthy: true,
-                    detail: format!("backlog {backlog}"),
-                }
-            }
-            Payload::StatsReq => Payload::StatsOk {
-                entries: self.stats(),
+            Payload::Updates { updates } => match self.tier.ingest_batch(&updates) {
+                Ok(()) => Payload::Ack {
+                    count: updates.len() as u64,
+                },
+                Err(e) => Payload::Error {
+                    code: ErrCode::from_error(&e),
+                    message: e.to_string(),
+                },
             },
+            Payload::HealthReq => Payload::HealthOk {
+                healthy: true,
+                detail: format!("backlog {}", self.tier.backlog()),
+            },
+            Payload::StatsReq => {
+                let mut marks = self.tier.watermarks(self.forwarded.len() as u32);
+                for (queue, acked) in marks.queues.iter_mut().zip(self.forwarded.iter()) {
+                    queue.forwarded = acked.load(Ordering::SeqCst);
+                }
+                Payload::StatsOk {
+                    entries: marks.stats_entries(),
+                }
+            }
             other => Payload::Error {
                 code: ErrCode::NotFound,
                 message: format!("sampling host does not handle {} frames", other.kind_name()),
@@ -352,67 +283,49 @@ impl NetService for SamplingHostService {
     }
 }
 
-/// A sampling process: the ingest topics, all sampling workers, and one
-/// relay per serving worker shipping `samples-<s>` over TCP.
+/// A sampling process: the [`SamplingTier`] plus one relay per serving
+/// worker shipping `samples-<s>` over TCP.
 pub struct SamplingHost {
     addr: SocketAddr,
     ops_addr: Option<SocketAddr>,
     server: Option<NetServer>,
-    workers: Arc<Mutex<Vec<SamplingWorker>>>,
+    tier: Arc<SamplingTier>,
     relays: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     registry: Arc<Registry>,
-    service: Arc<SamplingHostService>,
     _ops: Option<OpsServer>,
 }
 
 impl SamplingHost {
-    /// Start the host: topics, sampling workers, relays, wire server.
+    /// Start the host: the sampling tier, relays, wire server.
     pub fn start(host: SamplingHostConfig) -> Result<SamplingHost> {
         let config = host.config;
+        if host.serve_workers.len() != config.serving_workers {
+            return Err(HeliosError::InvalidConfig(format!(
+                "{} serve-worker endpoints for {} serving workers",
+                host.serve_workers.len(),
+                config.serving_workers
+            )));
+        }
         let registry = Arc::new(Registry::new());
         let recorder = FlightRecorder::new(config.flight_recorder_capacity);
-        let broker = Broker::new();
-        let mq_mem = MemGauge::new();
-        let m = config.sampling_workers as u32;
-        let n = host.serve_workers.len() as u32;
-        let updates_topic = broker.create_topic(topics::UPDATES, mq_topic(m, &mq_mem))?;
-        let control_topic = broker.create_topic(topics::CONTROL, mq_topic(m, &mq_mem))?;
-        broker.create_topic(topics::MEMBERSHIP, mq_topic(m, &mq_mem))?;
-        let mut sample_topics = Vec::with_capacity(n as usize);
-        for s in 0..n {
-            sample_topics.push(broker.create_topic(
-                &topics::samples(s),
-                mq_topic(config.sample_queue_partitions, &mq_mem),
-            )?);
-        }
-        let router = Arc::new(Router::new(RouteTable::initial(
-            n as usize,
-            config.route_slots as usize,
-        )));
+        let mut tier = SamplingTier::create(&config)?;
         let coordinator = Coordinator::new(host.query.clone());
-        let mut workers = Vec::with_capacity(m as usize);
-        for w in 0..m {
-            let beacon = coordinator.register_worker(&format!("saw{w}"));
-            workers.push(SamplingWorker::start(
-                SamplingWorkerId(w),
-                &config,
-                &host.query,
-                &broker,
-                Arc::clone(&router),
-                beacon,
-                &registry,
-                &recorder,
-            )?);
-        }
-        let workers = Arc::new(Mutex::new(workers));
-        let forwarded: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
+        tier.start_workers(&host.query, &coordinator, &registry, &recorder, None)?;
+        let tier = Arc::new(tier);
+        let forwarded: Arc<Vec<AtomicU64>> = Arc::new(
+            host.serve_workers
+                .iter()
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+        );
         let net = NetMetrics::new(&registry, "relay");
         let stop = Arc::new(AtomicBool::new(false));
-        let mut relays = Vec::with_capacity(n as usize);
+        let mut relays = Vec::with_capacity(host.serve_workers.len());
         for (s, addr) in host.serve_workers.iter().enumerate() {
-            let consumer =
-                broker.consumer_all(&format!("relay-{s}"), &topics::samples(s as u32))?;
+            let consumer = tier
+                .broker()
+                .consumer_all(&format!("relay-{s}"), &topics::samples(s as u32))?;
             let transport = TcpTransport::with_options(
                 addr,
                 TcpOptions {
@@ -443,32 +356,27 @@ impl SamplingHost {
             );
         }
         let service = Arc::new(SamplingHostService {
-            config,
-            updates_topic,
-            control_topic,
-            sample_topics,
-            workers: Arc::clone(&workers),
+            tier: Arc::clone(&tier),
             forwarded,
         });
         let net_server = NetMetrics::new(&registry, "worker");
         let server = NetServer::start(
             &host.listen,
-            Arc::clone(&service) as Arc<dyn NetService>,
+            service,
             net_server,
             Some(Arc::clone(&recorder)),
         )?;
         let ops = match &host.ops_addr {
             Some(addr) => {
                 let snap = Arc::clone(&registry);
-                let probe_workers = Arc::clone(&workers);
+                let probe_tier = Arc::clone(&tier);
                 let state = OpsState::new(move || snap.snapshot())
                     .probe(move || {
-                        let backlog: u64 = probe_workers
-                            .lock()
-                            .iter()
-                            .map(|w| w.backlog() as u64)
-                            .sum();
-                        HealthReport::new("sampling-host", true, format!("backlog {backlog}"))
+                        HealthReport::new(
+                            "sampling-host",
+                            true,
+                            format!("backlog {}", probe_tier.backlog()),
+                        )
                     })
                     .recorder(Arc::clone(&recorder));
                 Some(OpsServer::start(addr, state)?)
@@ -479,11 +387,10 @@ impl SamplingHost {
             addr: server.addr(),
             ops_addr: ops.as_ref().map(|o| o.addr()),
             server: Some(server),
-            workers,
+            tier,
             relays,
             stop,
             registry,
-            service,
             _ops: ops,
         })
     }
@@ -503,21 +410,7 @@ impl SamplingHost {
         &self.registry
     }
 
-    /// Ingest a batch locally (launcher-side convenience; the wire path
-    /// goes through `Updates` frames).
-    pub fn ingest_batch(&self, updates: &[GraphUpdate]) -> Result<()> {
-        for u in updates {
-            self.service.ingest(u)?;
-        }
-        Ok(())
-    }
-
-    /// The drain watermarks this host reports over `StatsReq`.
-    pub fn stats(&self) -> Vec<(String, u64)> {
-        self.service.stats()
-    }
-
-    /// Stop relays (after they drain), workers, and the wire server.
+    /// Stop relays (after they drain), the wire server, then the tier.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for relay in self.relays.drain(..) {
@@ -526,9 +419,7 @@ impl SamplingHost {
         if let Some(server) = self.server.take() {
             server.shutdown();
         }
-        for worker in self.workers.lock().drain(..) {
-            worker.shutdown();
-        }
+        self.tier.shutdown();
     }
 }
 

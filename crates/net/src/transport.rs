@@ -464,6 +464,18 @@ impl TcpTransport {
     }
 }
 
+impl Drop for TcpTransport {
+    /// Close every pooled socket. Each reader thread holds its `Conn`, so
+    /// without this the sockets — and the reader threads — would live
+    /// until the peer hung up; shut down, the reader sees EOF, poisons
+    /// the connection and exits.
+    fn drop(&mut self) {
+        for conn in self.conns.get_mut().iter().flatten() {
+            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+        }
+    }
+}
+
 impl Transport for TcpTransport {
     fn begin(&self, payload: Payload) -> Result<Completion> {
         let permit = self.budget.acquire();

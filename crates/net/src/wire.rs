@@ -22,7 +22,6 @@
 //! pipeline like a corrupt mq record does.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use helios_membership::MembershipMsg;
 use helios_types::{Decode, Encode, GraphUpdate, HeliosError, PartitionId, Result, VertexId};
 
 /// Frame magic: `b"NH"` read as a little-endian u16.
@@ -36,8 +35,9 @@ pub const HEADER_LEN: usize = 16;
 /// length field from looking like an allocation request.
 pub const MAX_PAYLOAD: usize = 64 << 20;
 
-/// Frame-kind labels indexed by kind byte (0 is the unknown bucket);
-/// pre-resolved metric labels come from here.
+/// Frame-kind labels indexed by kind byte; pre-resolved metric labels come
+/// from here. 0 and the retired tag 10 (a `membership` kind nothing sent)
+/// are the unknown bucket.
 pub const KIND_NAMES: [&str; 12] = [
     "unknown",
     "serve",
@@ -49,7 +49,7 @@ pub const KIND_NAMES: [&str; 12] = [
     "health_ok",
     "stats_req",
     "stats_ok",
-    "membership",
+    "unknown",
     "error",
 ];
 
@@ -185,9 +185,7 @@ pub enum Payload {
     /// Stats snapshot reply: flat name→value pairs (drain watermarks,
     /// shed counts, …); the schema is the names, kept self-describing.
     StatsOk { entries: Vec<(String, u64)> },
-    /// Membership / rescale broadcast (Prepare, Commit or Abort).
-    Membership(MembershipMsg),
-    /// Error reply.
+    /// Error reply (kind 11; tag 10 is retired and fails to decode).
     Error { code: ErrCode, message: String },
 }
 
@@ -204,7 +202,6 @@ impl Payload {
             Payload::HealthOk { .. } => 7,
             Payload::StatsReq => 8,
             Payload::StatsOk { .. } => 9,
-            Payload::Membership(_) => 10,
             Payload::Error { .. } => 11,
         }
     }
@@ -221,7 +218,6 @@ impl Payload {
             Payload::HealthOk { .. } => "health_ok",
             Payload::StatsReq => "stats_req",
             Payload::StatsOk { .. } => "stats_ok",
-            Payload::Membership(_) => "membership",
             Payload::Error { .. } => "error",
         }
     }
@@ -242,7 +238,6 @@ impl Payload {
                 detail.encode(buf);
             }
             Payload::StatsOk { entries } => entries.encode(buf),
-            Payload::Membership(msg) => msg.encode(buf),
             Payload::Error { code, message } => {
                 code.to_u8().encode(buf);
                 message.encode(buf);
@@ -280,7 +275,6 @@ impl Payload {
             9 => Payload::StatsOk {
                 entries: Vec::<(String, u64)>::decode(&mut buf)?,
             },
-            10 => Payload::Membership(MembershipMsg::decode(&mut buf)?),
             11 => Payload::Error {
                 code: ErrCode::from_u8(u8::decode(&mut buf)?)?,
                 message: String::decode(&mut buf)?,
@@ -492,7 +486,6 @@ pub fn write_raw_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helios_membership::RouteTable;
     use helios_types::{EdgeType, EdgeUpdate, Timestamp, VertexType, VertexUpdate};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -529,7 +522,6 @@ mod tests {
 
     /// One frame of every kind, exercised by the identity and fuzz tests.
     fn all_kinds() -> Vec<Frame> {
-        let table = RouteTable::initial(3, 64);
         vec![
             Frame {
                 request_id: 1,
@@ -592,22 +584,6 @@ mod tests {
             },
             Frame {
                 request_id: 10,
-                payload: Payload::Membership(MembershipMsg::Prepare {
-                    table: table.clone(),
-                }),
-            },
-            Frame {
-                request_id: 11,
-                payload: Payload::Membership(MembershipMsg::Commit {
-                    table: table.clone(),
-                }),
-            },
-            Frame {
-                request_id: 12,
-                payload: Payload::Membership(MembershipMsg::Abort { table }),
-            },
-            Frame {
-                request_id: 13,
                 payload: Payload::Error {
                     code: ErrCode::Overloaded,
                     message: "budget 64 full".into(),
@@ -659,6 +635,29 @@ mod tests {
             Frame::decode(&bad_kind),
             Err(HeliosError::Codec(_))
         ));
+    }
+
+    #[test]
+    fn retired_membership_tag_is_an_invalid_kind() {
+        // Tag 10 carried a `Membership` frame nothing sent or handled; it
+        // is gone, and `Error` keeps its tag 11.
+        let mut bytes = Frame {
+            request_id: 1,
+            payload: Payload::HealthReq,
+        }
+        .to_bytes()
+        .to_vec();
+        bytes[3] = 10;
+        match Frame::decode(&bytes) {
+            Err(HeliosError::Codec(msg)) => assert_eq!(msg, "invalid frame kind 10"),
+            other => panic!("tag 10 must not decode, got {other:?}"),
+        }
+        let error = Payload::Error {
+            code: ErrCode::Internal,
+            message: String::new(),
+        };
+        assert_eq!(error.kind(), 11);
+        assert_eq!(KIND_NAMES[10], "unknown");
     }
 
     #[test]

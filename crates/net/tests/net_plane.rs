@@ -1,8 +1,9 @@
 //! Network-plane integration tests over loopback: transport equivalence
 //! (in-process vs TCP), client pipelining under a bounded in-flight
 //! budget, corrupt-frame handling, gateway admission control, the
-//! gateway's worker-aware /healthz aggregation, and serve-scratch
-//! accounting on a serve worker's connection threads.
+//! gateway's worker-aware /healthz aggregation, serve-scratch accounting
+//! on a serve worker's connection threads, and socket release when a
+//! client is dropped.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -11,10 +12,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use helios_core::HeliosConfig;
-use helios_net::wire::read_frame;
 use helios_net::{
-    Client, Frame, Gateway, GatewayConfig, InProcTransport, NetMetrics, NetServer, NetService,
-    Payload, ServeHost, ServeHostConfig, TcpOptions, TcpTransport, Transport,
+    Client, Gateway, GatewayConfig, InProcTransport, NetMetrics, NetServer, NetService, Payload,
+    ServeHost, ServeHostConfig, TcpOptions, TcpTransport, Transport,
 };
 use helios_query::{KHopQuery, SamplingStrategy};
 use helios_telemetry::Registry;
@@ -257,47 +257,53 @@ fn gateway_healthz_reports_dead_workers_as_503() {
     live.shutdown();
 }
 
-/// A serve worker's connection threads are its serving threads: each
-/// charges its reusable scratch to the worker's `serve_scratch` gauge
-/// (the cell behind `mem.bytes{component=serve_scratch}`) while it lives
-/// and releases it when its connection closes.
-#[test]
-fn serve_scratch_is_charged_by_connection_threads_and_released_on_close() {
+/// A one-serving-worker host for the serve-scratch and socket-release
+/// tests.
+fn serve_host() -> ServeHost {
     let query = KHopQuery::builder(VertexType(0))
         .hop(EdgeType(0), VertexType(1), 2, SamplingStrategy::Random)
         .build()
         .unwrap();
-    let host = ServeHost::start(ServeHostConfig {
+    ServeHost::start(ServeHostConfig {
         sew: 0,
         listen: "127.0.0.1:0".into(),
         ops_addr: None,
         config: HeliosConfig::with_workers(1, 1),
         query,
     })
-    .unwrap();
+    .unwrap()
+}
+
+/// Poll `read` until it returns 0 or `within` passes; returns the last
+/// value read.
+fn settles_to_zero(within: Duration, read: impl Fn() -> i64) -> i64 {
+    let deadline = Instant::now() + within;
+    while read() != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    read()
+}
+
+/// A serve worker's connection threads are its serving threads: each
+/// charges its reusable scratch to the worker's `serve_scratch` gauge
+/// (the cell behind `mem.bytes{component=serve_scratch}`) while it lives
+/// and releases it when its connection closes.
+#[test]
+fn serve_scratch_is_charged_by_connection_threads_and_released_on_close() {
+    let host = serve_host();
     let scratch = host.worker().mem_gauges().serve_scratch.clone();
     assert_eq!(scratch.get(), 0, "no serving thread yet");
 
-    // Two plain sockets, so the test decides when they close (a dropped
-    // `Client` keeps its sockets until the peer hangs up).
-    let mut conns: Vec<TcpStream> = (0..2)
-        .map(|_| TcpStream::connect(host.addr()).unwrap())
-        .collect();
+    // Two pooled connections, so two server threads serve and charge.
+    let client = Client::with_options(
+        &host.addr().to_string(),
+        TcpOptions {
+            pool: 2,
+            ..TcpOptions::default()
+        },
+    );
     for raw in 0..16u64 {
-        let conn = &mut conns[raw as usize % 2];
-        let request = Frame {
-            request_id: raw,
-            payload: Payload::Serve {
-                seed: VertexId(raw),
-            },
-        };
-        conn.write_all(&request.to_bytes()).unwrap();
-        let (reply, _) = read_frame(conn).unwrap().expect("reply frame");
-        assert!(
-            matches!(reply.payload, Payload::ServeOk { .. }),
-            "seed {raw}: {}",
-            reply.payload.kind_name()
-        );
+        client.serve(VertexId(raw)).expect("serve");
     }
     assert_eq!(host.worker().served(), 16);
     assert!(
@@ -305,13 +311,43 @@ fn serve_scratch_is_charged_by_connection_threads_and_released_on_close() {
         "connection threads served but charged no scratch"
     );
 
-    // Closing the connections ends their server threads, whose
-    // thread-local scratch releases its share as it drops.
-    drop(conns);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while scratch.get() != 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(scratch.get(), 0, "closed connections still hold scratch");
+    // Dropping the client closes its connections, ending their server
+    // threads, whose thread-local scratch releases its share as it drops.
+    drop(client);
+    assert_eq!(
+        settles_to_zero(Duration::from_secs(5), || scratch.get()),
+        0,
+        "closed connections still hold scratch"
+    );
+    host.shutdown();
+}
+
+/// Dropping a `Client` closes its sockets: the serve host's connection
+/// threads end, so its live-connection gauge and serve scratch return to
+/// zero without waiting for the host to hang up.
+#[test]
+fn dropping_a_client_closes_its_connections() {
+    let host = serve_host();
+    let connections = || {
+        host.registry()
+            .snapshot()
+            .gauge("net.connections{role=worker}")
+    };
+    let scratch = host.worker().mem_gauges().serve_scratch.clone();
+    let client = Client::connect(&host.addr().to_string());
+    client.serve(VertexId(1)).expect("serve");
+    assert!(connections() > 0, "the serve arrived on no connection");
+    drop(client);
+    let within = Duration::from_secs(5);
+    assert_eq!(
+        settles_to_zero(within, connections),
+        0,
+        "a dropped client left its connections open"
+    );
+    assert_eq!(
+        settles_to_zero(within, || scratch.get()),
+        0,
+        "a dropped client's connection threads still hold scratch"
+    );
     host.shutdown();
 }

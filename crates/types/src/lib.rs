@@ -19,15 +19,17 @@ pub mod event;
 pub mod hash;
 pub mod ids;
 pub mod mem;
+pub mod policy;
 pub mod profile;
 pub mod time;
 
 pub use encode::{Decode, Encode};
-pub use mem::MemGauge;
 pub use error::{HeliosError, Result};
 pub use event::{EdgeUpdate, GraphUpdate, VertexUpdate};
 pub use hash::{fx_hash_u64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{
     EdgeType, PartitionId, QueryHopId, SamplingWorkerId, ServingWorkerId, VertexId, VertexType,
 };
+pub use mem::MemGauge;
+pub use policy::PartitionPolicy;
 pub use time::{LogicalClock, Timestamp};

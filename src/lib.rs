@@ -24,7 +24,7 @@
 //! * [`kvstore`] — LSM-style KV store (RocksDB substitute);
 //! * [`actor`] — thread/actor runtime;
 //! * [`netsim`] — network cost model for simulated distribution;
-//! * [`graphstore`] — dynamic graph partitions + partition policies;
+//! * [`graphstore`] — dynamic graph partitions (the baselines' storage);
 //! * [`graphdb`] — the distributed graph-database baseline;
 //! * [`datagen`] — synthetic datasets with Table 1 shapes;
 //! * [`gnn`] — GraphSAGE training/inference + model serving;

@@ -1,16 +1,15 @@
 //! The `helios` multi-process launcher.
 //!
-//! One binary, four roles:
+//! One binary, three roles:
 //!
 //! - `helios serve-worker`    — one serving worker behind a wire server.
 //! - `helios sampling-worker` — the sampling tier plus per-serving-worker
 //!   relays that forward sample batches over TCP.
 //! - `helios gateway`         — the client-facing front end: admission
 //!   control, seed routing, update forwarding, health fan-out.
-//! - `helios net-bench`       — the fig. 9 request mix driven twice, once
-//!   in-process and once through a real multi-process deployment over
-//!   loopback TCP, asserting byte-identical serve replies and recording
-//!   both columns (plus an overload run) as `BENCH_fig09_net.json`.
+//!
+//! The deployment is driven — and checked byte for byte against an
+//! in-process reference — by `bash benchmark/run.sh`.
 //!
 //! Worker and gateway processes print `HELIOS_NET_OPS <addr>` (when an
 //! ops server is configured) and then `HELIOS_NET_LISTEN <addr>` on
@@ -24,20 +23,15 @@
 //! topology-defining, so they must agree everywhere.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::io::{Read, Write};
+use std::time::Duration;
 
-use helios_bench::{drive, setup_helios, write_bench_json, BenchOutcome, BenchRecord};
 use helios_core::HeliosConfig;
 use helios_datagen::Preset;
 use helios_net::{
-    Client, Gateway, GatewayConfig, SamplingHost, SamplingHostConfig, ServeHost, ServeHostConfig,
+    Gateway, GatewayConfig, SamplingHost, SamplingHostConfig, ServeHost, ServeHostConfig,
 };
 use helios_query::{KHopQuery, SamplingStrategy};
-use helios_types::{GraphUpdate, HeliosError, VertexId};
 
 const USAGE: &str = "\
 usage: helios <subcommand> [flags]
@@ -47,7 +41,6 @@ subcommands:
   sampling-worker  host the sampling tier      (--serve-workers a,b)
   gateway          client-facing front end     (--workers a,b [--sampling c]
                                                 [--admission N] [--ops-addr a])
-  net-bench        in-proc vs TCP fig. 9 mix   ([--quick])
 
 shared topology flags (must be identical across a deployment):
   --preset bi|inter|fin|taobao   --scale F   --strategy random|topk|edge-weight
@@ -65,7 +58,6 @@ fn main() {
         Some("serve-worker") => cmd_serve_worker(&parse_flags(&args[1..])),
         Some("sampling-worker") => cmd_sampling_worker(&parse_flags(&args[1..])),
         Some("gateway") => cmd_gateway(&parse_flags(&args[1..])),
-        Some("net-bench") => cmd_net_bench(&parse_flags(&args[1..])),
         Some("--help") | Some("-h") | Some("help") | None => {
             println!("{USAGE}");
         }
@@ -85,7 +77,7 @@ fn die(msg: &str) -> ! {
 struct Flags(HashMap<String, String>);
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["three-hop", "quick"];
+const SWITCHES: &[&str] = &["three-hop"];
 
 fn parse_flags(args: &[String]) -> Flags {
     let mut map = HashMap::new();
@@ -138,15 +130,8 @@ impl Flags {
 // ---------------------------------------------------------------------------
 // Shared topology: every process derives the same config and query.
 
-struct Topology {
-    preset: Preset,
-    scale: f64,
-    strategy: SamplingStrategy,
-    three_hop: bool,
-    config: HeliosConfig,
-}
-
-fn topology(flags: &Flags) -> Topology {
+/// The deployment config and the query every process compiles.
+fn topology(flags: &Flags) -> (HeliosConfig, KHopQuery) {
     let preset = match flags.get("preset").unwrap_or("inter") {
         "bi" => Preset::Bi,
         "inter" => Preset::Inter,
@@ -162,52 +147,10 @@ fn topology(flags: &Flags) -> Topology {
     };
     let sampling = flags.parse_or("sampling-workers", 2usize);
     let serving = flags.parse_or("serving-workers", 2usize);
-    Topology {
-        preset,
-        scale: flags.parse_or("scale", 0.015f64),
-        strategy,
-        three_hop: flags.has("three-hop"),
-        config: HeliosConfig::with_workers(sampling, serving),
-    }
-}
-
-impl Topology {
-    fn query(&self) -> KHopQuery {
-        self.preset
-            .dataset(self.scale)
-            .table2_query(self.strategy, self.three_hop)
-    }
-
-    /// The flags a child process needs to rebuild this exact topology.
-    fn args(&self) -> Vec<String> {
-        let mut args = vec![
-            "--preset".into(),
-            match self.preset {
-                Preset::Bi => "bi",
-                Preset::Inter => "inter",
-                Preset::Fin => "fin",
-                Preset::Taobao => "taobao",
-            }
-            .into(),
-            "--scale".into(),
-            format!("{}", self.scale),
-            "--strategy".into(),
-            match self.strategy {
-                SamplingStrategy::Random => "random",
-                SamplingStrategy::TopK => "topk",
-                SamplingStrategy::EdgeWeight => "edge-weight",
-            }
-            .into(),
-            "--sampling-workers".into(),
-            self.config.sampling_workers.to_string(),
-            "--serving-workers".into(),
-            self.config.serving_workers.to_string(),
-        ];
-        if self.three_hop {
-            args.push("--three-hop".into());
-        }
-        args
-    }
+    let query = preset
+        .dataset(flags.parse_or("scale", 0.015f64))
+        .table2_query(strategy, flags.has("three-hop"));
+    (HeliosConfig::with_workers(sampling, serving), query)
 }
 
 // ---------------------------------------------------------------------------
@@ -226,13 +169,13 @@ fn announce_and_wait(addr: std::net::SocketAddr, ops: Option<std::net::SocketAdd
 }
 
 fn cmd_serve_worker(flags: &Flags) {
-    let topo = topology(flags);
+    let (config, query) = topology(flags);
     let host = ServeHost::start(ServeHostConfig {
         sew: flags.parse_or("sew", 0u32),
         listen: flags.listen(),
         ops_addr: flags.ops_addr(),
-        config: topo.config.clone(),
-        query: topo.query(),
+        config,
+        query,
     })
     .unwrap_or_else(|e| die(&format!("serve worker failed to start: {e}")));
     announce_and_wait(host.addr(), host.ops_addr());
@@ -240,25 +183,18 @@ fn cmd_serve_worker(flags: &Flags) {
 }
 
 fn cmd_sampling_worker(flags: &Flags) {
-    let topo = topology(flags);
+    let (config, query) = topology(flags);
     let serve_workers: Vec<String> = flags
         .get("serve-workers")
         .unwrap_or_else(|| die("sampling-worker needs --serve-workers a,b"))
         .split(',')
         .map(str::to_string)
         .collect();
-    if serve_workers.len() != topo.config.serving_workers {
-        die(&format!(
-            "--serve-workers lists {} endpoints but --serving-workers is {}",
-            serve_workers.len(),
-            topo.config.serving_workers
-        ));
-    }
     let host = SamplingHost::start(SamplingHostConfig {
         listen: flags.listen(),
         ops_addr: flags.ops_addr(),
-        config: topo.config.clone(),
-        query: topo.query(),
+        config,
+        query,
         serve_workers,
     })
     .unwrap_or_else(|e| die(&format!("sampling worker failed to start: {e}")));
@@ -267,7 +203,7 @@ fn cmd_sampling_worker(flags: &Flags) {
 }
 
 fn cmd_gateway(flags: &Flags) {
-    let topo = topology(flags);
+    let (config, _) = topology(flags);
     let workers: Vec<String> = flags
         .get("workers")
         .unwrap_or_else(|| die("gateway needs --workers a,b"))
@@ -279,393 +215,11 @@ fn cmd_gateway(flags: &Flags) {
         workers,
         sampling: flags.get("sampling").map(str::to_string),
         admission: flags.parse_or("admission", 256usize),
-        route_slots: flags.parse_or("route-slots", topo.config.route_slots as usize),
+        route_slots: flags.parse_or("route-slots", config.route_slots as usize),
         probe_timeout: Duration::from_millis(flags.parse_or("probe-timeout-ms", 500u64)),
         ops_addr: flags.ops_addr(),
     })
     .unwrap_or_else(|e| die(&format!("gateway failed to start: {e}")));
     announce_and_wait(gateway.addr(), gateway.ops_addr());
     gateway.shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// Child process management for net-bench.
-
-struct Role {
-    name: &'static str,
-    child: Child,
-    stdin: Option<ChildStdin>,
-    addr: String,
-    #[allow(dead_code)]
-    ops: Option<String>,
-}
-
-fn spawn_role(name: &'static str, args: Vec<String>) -> Role {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut child = Command::new(exe)
-        .args(&args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| die(&format!("failed to spawn {name}: {e}")));
-    let stdin = child.stdin.take();
-    let stdout = child.stdout.take().expect("child stdout piped");
-    let mut addr = None;
-    let mut ops = None;
-    for line in BufReader::new(stdout).lines() {
-        let line = line.unwrap_or_else(|e| die(&format!("{name} stdout died: {e}")));
-        if let Some(o) = line.strip_prefix("HELIOS_NET_OPS ") {
-            ops = Some(o.trim().to_string());
-        } else if let Some(a) = line.strip_prefix("HELIOS_NET_LISTEN ") {
-            addr = Some(a.trim().to_string());
-            break;
-        }
-    }
-    let Some(addr) = addr else {
-        die(&format!("{name} exited before announcing a listen address"));
-    };
-    Role {
-        name,
-        child,
-        stdin,
-        addr,
-        ops,
-    }
-}
-
-/// Close the child's stdin (its shutdown signal) and reap it, escalating
-/// to SIGKILL only if it ignores EOF for 15 s.
-fn stop_role(mut role: Role) {
-    drop(role.stdin.take());
-    let deadline = Instant::now() + Duration::from_secs(15);
-    loop {
-        match role.child.try_wait() {
-            Ok(Some(_)) => return,
-            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(50)),
-            _ => {
-                eprintln!("helios: {} ignored shutdown, killing", role.name);
-                let _ = role.child.kill();
-                let _ = role.child.wait();
-                return;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// net-bench: the acceptance experiment for the network plane.
-
-fn cmd_net_bench(flags: &Flags) {
-    let quick = flags.has("quick") || helios_telemetry::env_flag("HELIOS_BENCH_QUICK");
-    let topo = {
-        let mut t = topology(flags);
-        if flags.get("scale").is_none() && quick {
-            t.scale = 0.008;
-        }
-        t
-    };
-    let window = Duration::from_millis(if quick { 300 } else { 2000 });
-    let concurrency = 8usize;
-    println!(
-        "net-bench: preset {:?} scale {} strategy {:?} ({} sampling / {} serving workers)",
-        topo.preset,
-        topo.scale,
-        topo.strategy,
-        topo.config.sampling_workers,
-        topo.config.serving_workers,
-    );
-
-    // Phase A: in-process reference. Capture per-seed reference bytes for
-    // the identity check, then drive the fig. 9 request mix.
-    println!("[1/4] in-process reference");
-    let bench = setup_helios(
-        topo.preset,
-        topo.scale,
-        topo.strategy,
-        topo.three_hop,
-        topo.config.clone(),
-    );
-    let events: Vec<GraphUpdate> = bench.events.clone();
-    let seeds: Vec<VertexId> = bench.seeds.clone();
-    let check_seeds: Vec<VertexId> = seeds.iter().copied().take(256).collect();
-    let reference: Vec<Option<Vec<u8>>> = check_seeds
-        .iter()
-        .map(|&seed| {
-            let mut out = Vec::new();
-            bench
-                .deployment
-                .serve_encoded(seed, &mut out)
-                .ok()
-                .map(|_| out)
-        })
-        .collect();
-    let inproc_errors = AtomicU64::new(0);
-    let inproc = drive(concurrency, window, |c, seq| {
-        let seed = seeds[(seq as usize * 31 + c * 7) % seeds.len()];
-        let mut out = Vec::new();
-        if bench.deployment.serve_encoded(seed, &mut out).is_err() {
-            inproc_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-    let mut records = vec![BenchRecord::capture(
-        format!("{:?}/inproc/conc{concurrency}", topo.preset),
-        &inproc,
-        &bench,
-    )];
-    bench.shutdown();
-
-    // Phase B: the same topology as real OS processes over loopback TCP.
-    println!("[2/4] multi-process deployment (TCP)");
-    let mut worker_roles = Vec::new();
-    for sew in 0..topo.config.serving_workers {
-        let mut args = vec!["serve-worker".to_string(), "--sew".into(), sew.to_string()];
-        args.extend(topo.args());
-        worker_roles.push(spawn_role("serve-worker", args));
-    }
-    let worker_addrs: Vec<String> = worker_roles.iter().map(|r| r.addr.clone()).collect();
-    let sampling_role = {
-        let mut args = vec![
-            "sampling-worker".to_string(),
-            "--serve-workers".into(),
-            worker_addrs.join(","),
-        ];
-        args.extend(topo.args());
-        spawn_role("sampling-worker", args)
-    };
-    let gateway_role = {
-        let mut args = vec![
-            "gateway".to_string(),
-            "--workers".into(),
-            worker_addrs.join(","),
-            "--sampling".into(),
-            sampling_role.addr.clone(),
-            "--admission".into(),
-            "256".into(),
-        ];
-        args.extend(topo.args());
-        spawn_role("gateway", args)
-    };
-
-    let client = Arc::new(Client::connect(&gateway_role.addr));
-    for batch in events.chunks(512) {
-        client
-            .ingest(batch.to_vec())
-            .unwrap_or_else(|e| die(&format!("ingest through gateway failed: {e}")));
-    }
-    wait_for_drain(&sampling_role.addr, &worker_addrs);
-
-    // Byte identity: every checked seed must reproduce the in-process
-    // reply exactly — same sample set, same encoding, or the transport
-    // (or the relay ordering) is lying somewhere.
-    let mut identical = 0usize;
-    for (&seed, reference) in check_seeds.iter().zip(&reference) {
-        match (client.serve(seed), reference) {
-            (Ok(bytes), Some(want)) => {
-                assert_eq!(
-                    &bytes[..],
-                    &want[..],
-                    "seed {seed:?}: TCP reply differs from in-process reply"
-                );
-                identical += 1;
-            }
-            (Err(_), None) => identical += 1,
-            (got, want) => die(&format!(
-                "seed {seed:?}: in-process {} but TCP {}",
-                if want.is_some() { "served" } else { "errored" },
-                if got.is_ok() { "served" } else { "errored" },
-            )),
-        }
-    }
-    println!(
-        "[3/4] byte identity: {identical}/{} seeds identical across transports",
-        check_seeds.len()
-    );
-
-    let tcp_errors = AtomicU64::new(0);
-    let tcp = drive(concurrency, window, |c, seq| {
-        let seed = seeds[(seq as usize * 31 + c * 7) % seeds.len()];
-        if client.serve(seed).is_err() {
-            tcp_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-    assert_eq!(
-        tcp_errors.load(Ordering::Relaxed),
-        0,
-        "uncontended TCP drive saw serve errors"
-    );
-    records.push(BenchRecord::bare(
-        format!("{:?}/tcp/conc{concurrency}", topo.preset),
-        &tcp,
-    ));
-
-    // Phase C: overload. A second gateway over the same workers with a
-    // deliberately tiny admission budget, driven at high concurrency:
-    // excess requests must shed with an explicit Overloaded error — never
-    // hang — and the admitted requests must stay fast.
-    println!("[4/4] overload (admission budget 4, concurrency 32)");
-    let overload_role = {
-        let mut args = vec![
-            "gateway".to_string(),
-            "--workers".into(),
-            worker_addrs.join(","),
-            "--admission".into(),
-            "4".into(),
-        ];
-        args.extend(topo.args());
-        spawn_role("gateway-overload", args)
-    };
-    let overload_client = Arc::new(Client::connect(&overload_role.addr));
-    let (overload, sheds) = overload_drive(&overload_client, &seeds, 32, window);
-    let gw_stats = overload_client.stats().unwrap_or_default();
-    let shed_total = stat(&gw_stats, "gateway.shed_total");
-    assert!(
-        sheds > 0 && shed_total >= sheds,
-        "expected explicit sheds under 8x admission load (client saw {sheds}, \
-         gateway.shed_total {shed_total})"
-    );
-    let p99_ratio = overload.p99_ms / tcp.p99_ms.max(0.001);
-    println!(
-        "overload: {} admitted ({:.0} qps, p99 {:.3} ms = {:.2}x uncontended), {sheds} shed \
-         (gateway.shed_total {shed_total})",
-        overload.count, overload.qps, overload.p99_ms, p99_ratio
-    );
-    if p99_ratio > 2.0 {
-        println!("WARN: admitted p99 exceeded 2x the uncontended p99");
-    }
-    records.push(BenchRecord::bare(
-        format!("{:?}/tcp_overload/admitted", topo.preset),
-        &overload,
-    ));
-
-    stop_role(overload_role);
-    drop(client);
-    drop(overload_client);
-    stop_role(gateway_role);
-    stop_role(sampling_role);
-    for role in worker_roles {
-        stop_role(role);
-    }
-
-    let path = write_bench_json("fig09_net", &records);
-    println!(
-        "in-proc {:.0} qps (p99 {:.3} ms) vs TCP {:.0} qps (p99 {:.3} ms); \
-         in-proc drive errors {}; results -> {}",
-        inproc.qps,
-        inproc.p99_ms,
-        tcp.qps,
-        tcp.p99_ms,
-        inproc_errors.load(Ordering::Relaxed),
-        path.display(),
-    );
-}
-
-/// Poll the sampling host and serve workers until the pipeline drains:
-/// every produced update consumed, every sample batch relayed, every
-/// relayed record applied — stable for two consecutive polls.
-fn wait_for_drain(sampling: &str, workers: &[String]) {
-    let sampling = Client::connect(sampling);
-    let worker_clients: Vec<Client> = workers.iter().map(|a| Client::connect(a)).collect();
-    let deadline = Instant::now() + Duration::from_secs(600);
-    let mut stable = 0;
-    while Instant::now() < deadline {
-        let stats = sampling.stats().unwrap_or_default();
-        let drained = stat(&stats, "updates_done") == stat(&stats, "updates_end")
-            && stat(&stats, "control_done") == stat(&stats, "control_end")
-            && stat(&stats, "backlog") == 0
-            && worker_clients.iter().enumerate().all(|(s, wc)| {
-                let forwarded = stat(&stats, &format!("forwarded_{s}"));
-                let end = stat(&stats, &format!("samples_end_{s}"));
-                let applied = wc.stats().map(|ws| stat(&ws, "applied")).unwrap_or(0);
-                // `>=`: a relay retry after a lost ack can duplicate a
-                // batch; duplicates are idempotent downstream.
-                forwarded == end && applied >= forwarded
-            });
-        if drained {
-            stable += 1;
-            if stable >= 2 {
-                return;
-            }
-        } else {
-            stable = 0;
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    die("multi-process pipeline did not drain within 600s");
-}
-
-fn stat(entries: &[(String, u64)], key: &str) -> u64 {
-    entries
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
-}
-
-/// Drive the fig. 9 mix against an overloaded gateway, separating
-/// admitted completions (latency-tracked) from explicit sheds. Any error
-/// other than `Overloaded` is fatal: overload must degrade into clean
-/// sheds, not into timeouts or disconnects.
-fn overload_drive(
-    client: &Arc<Client>,
-    seeds: &[VertexId],
-    concurrency: usize,
-    window: Duration,
-) -> (BenchOutcome, u64) {
-    let sheds = AtomicU64::new(0);
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let t0 = Instant::now();
-    let latencies: Vec<Vec<f64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..concurrency)
-            .map(|c| {
-                let client = Arc::clone(client);
-                let sheds = &sheds;
-                let stop = &stop;
-                scope.spawn(move || {
-                    let mut ok_ms = Vec::new();
-                    let mut seq = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let seed = seeds[(seq as usize * 31 + c * 7) % seeds.len()];
-                        let op0 = Instant::now();
-                        match client.serve(seed) {
-                            Ok(_) => ok_ms.push(op0.elapsed().as_secs_f64() * 1e3),
-                            Err(HeliosError::Overloaded(_)) => {
-                                sheds.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => die(&format!("overload drive hit a non-shed error: {e}")),
-                        }
-                        seq += 1;
-                    }
-                    ok_ms
-                })
-            })
-            .collect();
-        while t0.elapsed() < window {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        stop.store(true, Ordering::Relaxed);
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let elapsed = t0.elapsed().as_secs_f64();
-    let mut all: Vec<f64> = latencies.into_iter().flatten().collect();
-    all.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pct = |p: f64| -> f64 {
-        if all.is_empty() {
-            0.0
-        } else {
-            all[((all.len() - 1) as f64 * p) as usize]
-        }
-    };
-    let outcome = BenchOutcome {
-        count: all.len() as u64,
-        qps: all.len() as f64 / elapsed,
-        avg_ms: if all.is_empty() {
-            0.0
-        } else {
-            all.iter().sum::<f64>() / all.len() as f64
-        },
-        p50_ms: pct(0.50),
-        p99_ms: pct(0.99),
-    };
-    (outcome, sheds.load(Ordering::Relaxed))
 }

@@ -1,9 +1,10 @@
 //! Multi-process smoke: gateway + two serving workers + one sampling
 //! worker as real OS processes, driven over loopback TCP through the
-//! client SDK. Ingests a small dataset, serves 1k requests, then kills a
-//! serving worker and asserts the gateway degrades by shedding/erroring
-//! promptly — never by hanging — and that /healthz turns 503 naming the
-//! dead worker.
+//! client SDK. Ingests a small dataset, checks 64 seeds' replies byte for
+//! byte against an in-process `HeliosDeployment` fed the same events,
+//! serves 1k requests, then kills a serving worker and asserts the
+//! gateway degrades by shedding/erroring promptly — never by hanging —
+//! and that /healthz turns 503 naming the dead worker.
 //!
 //! Under `cargo test` the binary comes from `CARGO_BIN_EXE_helios`; the
 //! raw-rustc harness sets `HELIOS_BIN` instead.
@@ -12,11 +13,16 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use helios_core::{HeliosConfig, HeliosDeployment, Watermarks};
+use helios_datagen::Preset;
 use helios_net::Client;
+use helios_query::SamplingStrategy;
 use helios_types::VertexId;
 
 const PRESET: &str = "inter";
 const SCALE: &str = "0.004";
+const SAMPLING_WORKERS: usize = 1;
+const SERVING_WORKERS: usize = 2;
 
 fn helios_bin() -> String {
     option_env!("CARGO_BIN_EXE_helios")
@@ -39,9 +45,9 @@ fn spawn_role(mut args: Vec<String>) -> Role {
         "--scale",
         SCALE,
         "--sampling-workers",
-        "1",
+        &SAMPLING_WORKERS.to_string(),
         "--serving-workers",
-        "2",
+        &SERVING_WORKERS.to_string(),
     ] {
         args.push(flag.to_string());
     }
@@ -86,14 +92,6 @@ fn stop_role(mut role: Role) {
     let _ = role.child.wait();
 }
 
-fn stat(entries: &[(String, u64)], key: &str) -> u64 {
-    entries
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
-}
-
 fn http_get(addr: &str, path: &str) -> String {
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     stream
@@ -130,42 +128,79 @@ fn multiprocess_deployment_serves_and_sheds_on_worker_death() {
         "127.0.0.1:0".into(),
     ]);
 
-    // Ingest the same dataset every process derives its query from.
-    let events: Vec<_> = helios_datagen::Preset::Inter
-        .dataset(SCALE.parse().unwrap())
-        .events()
-        .collect();
+    // Ingest the same dataset every process derives its query from — and
+    // the same events, in the same order, into an in-process reference
+    // with the same config and query.
+    let dataset = Preset::Inter.dataset(SCALE.parse().unwrap());
+    let events: Vec<_> = dataset.events().collect();
     let client = Client::connect(&gateway.addr);
     for batch in events.chunks(512) {
         client.ingest(batch.to_vec()).expect("ingest via gateway");
     }
+    let reference = HeliosDeployment::start(
+        HeliosConfig::with_workers(SAMPLING_WORKERS, SERVING_WORKERS),
+        dataset.table2_query(SamplingStrategy::Random, false),
+    )
+    .expect("in-process reference");
+    reference
+        .ingest_and_settle(&events, Duration::from_secs(120))
+        .expect("reference quiesces");
 
-    // Drain: all updates sampled, all sample batches relayed and applied.
+    // Drain: the sampling host's and each serve host's `StatsOk` joined
+    // into one drain equation, drained on two identical polls in a row.
     let sampling_client = Client::connect(&sampling.addr);
     let worker_clients = [
         Client::connect(&worker0.addr),
         Client::connect(&worker1.addr),
     ];
     let deadline = Instant::now() + Duration::from_secs(120);
-    let mut stable = 0;
-    while stable < 2 {
+    let mut last: Option<Watermarks> = None;
+    loop {
         assert!(Instant::now() < deadline, "pipeline did not drain in 120s");
         let stats = sampling_client.stats().expect("sampling stats");
-        let drained = stat(&stats, "updates_done") == stat(&stats, "updates_end")
-            && stat(&stats, "backlog") == 0
-            && worker_clients.iter().enumerate().all(|(s, wc)| {
-                let forwarded = stat(&stats, &format!("forwarded_{s}"));
-                forwarded == stat(&stats, &format!("samples_end_{s}"))
-                    && wc.stats().map(|ws| stat(&ws, "applied")).unwrap_or(0) >= forwarded
-            });
-        stable = if drained { stable + 1 } else { 0 };
+        let workers: Vec<_> = worker_clients
+            .iter()
+            .map(|wc| wc.stats().expect("serve worker stats"))
+            .collect();
+        let marks = Watermarks::from_stats(&stats, &workers);
+        if marks.drained() && last.as_ref() == Some(&marks) {
+            break;
+        }
+        last = Some(marks);
         std::thread::sleep(Duration::from_millis(100));
     }
 
-    // Healthy deployment: 1k serves through the SDK, all successful.
-    let dataset = helios_datagen::Preset::Inter.dataset(SCALE.parse().unwrap());
+    // Byte identity: seeds served over TCP through the gateway reproduce
+    // the in-process reply exactly — or fail on both sides.
     let (lo, hi) = dataset.id_range(dataset.seed_population());
     let seeds: Vec<VertexId> = (lo..hi).map(VertexId).collect();
+    let mut want = Vec::new();
+    let mut identical = 0;
+    for i in 0..64usize {
+        let seed = seeds[(i * 31) % seeds.len()];
+        match (client.serve(seed), reference.serve_encoded(seed, &mut want)) {
+            (Ok(got), Ok(())) => {
+                assert!(
+                    got[..] == want[..],
+                    "seed {seed:?}: TCP reply ({} bytes) differs from the in-process one ({} \
+                     bytes)",
+                    got.len(),
+                    want.len()
+                );
+                identical += 1;
+            }
+            (Err(_), Err(_)) => {}
+            (got, inproc) => panic!(
+                "seed {seed:?}: in-process {} but TCP {}",
+                if inproc.is_ok() { "served" } else { "failed" },
+                if got.is_ok() { "served" } else { "failed" },
+            ),
+        }
+    }
+    assert!(identical > 0, "no seed served on either side");
+    reference.shutdown();
+
+    // Healthy deployment: 1k serves through the SDK, all successful.
     for i in 0..1000usize {
         let seed = seeds[(i * 31) % seeds.len()];
         client.serve(seed).expect("serve over TCP");
