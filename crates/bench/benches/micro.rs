@@ -70,7 +70,7 @@ fn bench_kvstore(c: &mut Criterion) {
         let keys: Vec<[u8; 8]> = (0..n as u64)
             .map(|i| (i * 389 % 100_000).to_be_bytes())
             .collect();
-        g.bench_function(&format!("sequential_get_{n}"), |b| {
+        g.bench_function(format!("sequential_get_{n}"), |b| {
             b.iter(|| {
                 let mut found = 0usize;
                 for k in &keys {
@@ -81,13 +81,13 @@ fn bench_kvstore(c: &mut Criterion) {
                 found
             });
         });
-        g.bench_function(&format!("multi_get_{n}"), |b| {
+        g.bench_function(format!("multi_get_{n}"), |b| {
             b.iter(|| kv.multi_get(&keys).unwrap().iter().flatten().count());
         });
     }
     // Same comparison for the write path: N puts vs one N-op write_batch.
     for n in [64usize, 256] {
-        g.bench_function(&format!("sequential_put_{n}"), |b| {
+        g.bench_function(format!("sequential_put_{n}"), |b| {
             let mut i = 300_000u64;
             b.iter(|| {
                 for _ in 0..n {
@@ -101,7 +101,7 @@ fn bench_kvstore(c: &mut Criterion) {
                 }
             });
         });
-        g.bench_function(&format!("write_batch_{n}"), |b| {
+        g.bench_function(format!("write_batch_{n}"), |b| {
             let mut i = 600_000u64;
             b.iter(|| {
                 let ops: Vec<WriteOp> = (0..n)

@@ -9,9 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use helios_core::{HeliosConfig, HeliosDeployment};
 use helios_query::{KHopQuery, SamplingStrategy};
-use helios_telemetry::{
-    clear_spans, set_trace_sample_rate, set_tracing, span, Registry, TraceCtx,
-};
+use helios_telemetry::{clear_spans, set_trace_sample_rate, set_tracing, span, Registry, TraceCtx};
 use helios_types::{
     EdgeType, EdgeUpdate, GraphUpdate, Timestamp, VertexId, VertexType, VertexUpdate,
 };
@@ -166,9 +164,17 @@ fn bench_serve_path(c: &mut Criterion) {
 fn config() -> Criterion {
     let quick = helios_telemetry::env_flag("HELIOS_BENCH_QUICK");
     let c = Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(if quick { 50 } else { 300 }))
+        .warm_up_time(std::time::Duration::from_millis(if quick {
+            50
+        } else {
+            300
+        }))
         .sample_size(if quick { 10 } else { 20 });
-    c.measurement_time(std::time::Duration::from_millis(if quick { 200 } else { 1000 }))
+    c.measurement_time(std::time::Duration::from_millis(if quick {
+        200
+    } else {
+        1000
+    }))
 }
 
 criterion_group!(

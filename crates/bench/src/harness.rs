@@ -305,9 +305,14 @@ mod tests {
     #[test]
     fn drive_pinned_works_like_drive() {
         // Pinning is best effort, so this must pass on any host.
-        let out = drive_pinned(2, helios_types::affinity::available_cores(), Duration::from_millis(50), |_c, _s| {
-            std::thread::sleep(Duration::from_millis(1));
-        });
+        let out = drive_pinned(
+            2,
+            helios_types::affinity::available_cores(),
+            Duration::from_millis(50),
+            |_c, _s| {
+                std::thread::sleep(Duration::from_millis(1));
+            },
+        );
         assert!(out.count > 5);
         assert!(out.avg_ms >= 1.0);
     }
@@ -324,10 +329,7 @@ mod tests {
             p50_ms: 0.4,
             p99_ms: 2.25,
         };
-        let path = write_bench_json(
-            "unit_test",
-            &[BenchRecord::bare("quote\"label", &out)],
-        );
+        let path = write_bench_json("unit_test", &[BenchRecord::bare("quote\"label", &out)]);
         std::env::remove_var("HELIOS_BENCH_JSON_DIR");
         assert_eq!(path.file_name().unwrap(), "BENCH_unit_test.json");
         let body = std::fs::read_to_string(&path).unwrap();

@@ -129,7 +129,9 @@ fn tail_sampled_tracing_attributes_every_stage() {
         "sampler.apply_latency",
         "sampler.propagate_latency",
     ] {
-        let s = snap.histogram_total(h).unwrap_or_else(|| panic!("{h} registered"));
+        let s = snap
+            .histogram_total(h)
+            .unwrap_or_else(|| panic!("{h} registered"));
         assert!(s.count > 0, "{h} recorded ({s:?})");
     }
     // mq dwell from the wire-level produced_at stamp, on both consumers.
@@ -180,7 +182,10 @@ fn tail_sampled_tracing_attributes_every_stage() {
     let addr = helios.ops_addr().expect("ops server bound");
     let (status, body) = http_get(addr, "/traces");
     assert!(status.contains("200"), "{status}");
-    assert!(body.contains(&format!("\"trace\":{}", summary.trace)), "{body}");
+    assert!(
+        body.contains(&format!("\"trace\":{}", summary.trace)),
+        "{body}"
+    );
     assert!(body.contains("\"reasons\":[\"slow\"]"), "{body}");
     let (status, body) = http_get(addr, &format!("/traces?id={}", summary.trace));
     assert!(status.contains("200"), "{status}");

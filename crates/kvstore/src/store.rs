@@ -270,7 +270,8 @@ impl Shard {
         if let Some(old) = self.active.insert(key, sv) {
             self.mem_bytes = self.mem_bytes.saturating_sub(old.footprint());
             self.mem_bytes += add - klen;
-            self.mem.add_signed((add - klen) as i64 - old.footprint() as i64);
+            self.mem
+                .add_signed((add - klen) as i64 - old.footprint() as i64);
         } else {
             self.mem_bytes += add;
             self.mem.add(add);
@@ -1713,7 +1714,11 @@ mod tests {
             "expired entries release their bytes"
         );
         drop(kv);
-        assert_eq!(gauges.memtable.get(), 0, "drop after expiry double-frees nothing");
+        assert_eq!(
+            gauges.memtable.get(),
+            0,
+            "drop after expiry double-frees nothing"
+        );
     }
 
     #[test]
@@ -1860,7 +1865,8 @@ mod tests {
         // into anyone else's accounting: the default gauges are private
         // cells nobody observes.
         let kv = KvStore::open(KvConfig::in_memory(1)).unwrap();
-        kv.put(b"a", Bytes::from_static(b"1"), Timestamp(0)).unwrap();
+        kv.put(b"a", Bytes::from_static(b"1"), Timestamp(0))
+            .unwrap();
         drop(kv);
         let g = KvMemGauges::default();
         assert_eq!(g.memtable.get(), 0);

@@ -214,7 +214,8 @@ impl Histogram {
             for (a, b) in ours.iter().zip(theirs.iter()) {
                 let trace = b.trace.load(Ordering::Relaxed);
                 if trace != 0 {
-                    a.value.store(b.value.load(Ordering::Relaxed), Ordering::Relaxed);
+                    a.value
+                        .store(b.value.load(Ordering::Relaxed), Ordering::Relaxed);
                     a.trace.store(trace, Ordering::Relaxed);
                 }
             }

@@ -276,13 +276,16 @@ impl Transport for InProcTransport {
     }
 }
 
+/// A reply waiter plus the in-flight permit it parks.
+type Waiter = (Sender<Result<Payload>>, Option<Permit>);
+
 /// One pipelined TCP connection: a writer guarded by a mutex, a reader
 /// thread demultiplexing replies by request id.
 struct Conn {
     writer: Mutex<BufWriter<TcpStream>>,
     /// Reply waiters by request id; each entry parks the in-flight
     /// permit, which the reader thread frees when the reply lands.
-    pending: Mutex<HashMap<u64, (Sender<Result<Payload>>, Option<Permit>)>>,
+    pending: Mutex<HashMap<u64, Waiter>>,
     next_id: AtomicU64,
     dead: AtomicBool,
     stream: TcpStream,

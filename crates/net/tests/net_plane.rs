@@ -118,7 +118,7 @@ fn client_pipelines_within_a_bounded_inflight_budget() {
     }
     assert_eq!(service.served.load(Ordering::Relaxed), 64);
     // The typed helpers ride the same pipelined transport.
-    assert_eq!(client.health().unwrap().0, true);
+    assert!(client.health().unwrap().0);
     assert_eq!(client.stats().unwrap()[0].1, 64);
     server.shutdown();
 }

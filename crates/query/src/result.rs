@@ -515,7 +515,10 @@ mod tests {
         let view = a.view();
         assert_eq!(view.hop_count(), 2);
         assert_eq!(view.sampled_edge_count(), 5);
-        assert_eq!(a.last_hop_children(), &[VertexId(20), VertexId(21), VertexId(20)]);
+        assert_eq!(
+            a.last_hop_children(),
+            &[VertexId(20), VertexId(21), VertexId(20)]
+        );
         let owned = view.to_subgraph();
         let reference = two_hop_result();
         assert_eq!(owned.seed, reference.seed);

@@ -67,7 +67,9 @@ impl Profiler {
             if Instant::now() >= deadline {
                 break;
             }
-            std::thread::sleep(SAMPLE_INTERVAL.min(deadline.saturating_duration_since(Instant::now())));
+            std::thread::sleep(
+                SAMPLE_INTERVAL.min(deadline.saturating_duration_since(Instant::now())),
+            );
         }
         let mut lines: Vec<(String, u64)> = folded.into_iter().collect();
         lines.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));

@@ -13,8 +13,8 @@
 //! thousands of healthy ones have churned through.
 
 use crate::trace::{json_escape, read_spans_since, SpanRecord};
-use parking_lot::Mutex;
 use helios_types::{FxHashMap, MemGauge};
+use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 

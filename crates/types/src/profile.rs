@@ -143,7 +143,7 @@ impl ThreadSlot {
     /// Snapshot the stack: `Some(label ids)` or `None` on a torn read.
     fn sample(&self) -> Option<Vec<u32>> {
         let s1 = self.seq.load(Ordering::Acquire);
-        if s1 % 2 != 0 {
+        if !s1.is_multiple_of(2) {
             return None;
         }
         let depth = (self.depth.load(Ordering::Relaxed) as usize).min(MAX_FRAMES);
@@ -188,10 +188,7 @@ impl Drop for ThreadToken {
         self.slot.alive.store(false, Ordering::Relaxed);
         CURRENT.with(|c| {
             let mut cur = c.borrow_mut();
-            if cur
-                .as_ref()
-                .is_some_and(|s| Arc::ptr_eq(s, &self.slot))
-            {
+            if cur.as_ref().is_some_and(|s| Arc::ptr_eq(s, &self.slot)) {
                 *cur = None;
             }
         });
@@ -298,10 +295,7 @@ mod tests {
         assert!(registered_threads().contains(&"profile-test-worker".to_string()));
         let line = loop {
             let (stacks, _) = sample_stacks();
-            if let Some(l) = stacks
-                .iter()
-                .find(|s| s.starts_with("profile-test-worker"))
-            {
+            if let Some(l) = stacks.iter().find(|s| s.starts_with("profile-test-worker")) {
                 if l.contains("inner-frame") {
                     break l.clone();
                 }

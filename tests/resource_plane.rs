@@ -97,7 +97,8 @@ fn mem_gauges_match_reference_counts_across_ingest_flush_evict() {
     assert!(helios.quiesce(Duration::from_secs(60)));
     acct.export();
 
-    let accounted_tables = acct.component_bytes("sample_table") + acct.component_bytes("feature_table");
+    let accounted_tables =
+        acct.component_bytes("sample_table") + acct.component_bytes("feature_table");
     let reference_tables: i64 = helios
         .serving_workers()
         .iter()
@@ -106,8 +107,16 @@ fn mem_gauges_match_reference_counts_across_ingest_flush_evict() {
             (s.mem_bytes + f.mem_bytes) as i64
         })
         .sum();
-    within_5pct(accounted_tables, reference_tables, "cache tables after ingest");
-    within_5pct(acct.component_bytes("mq_log"), broker_log_bytes(&helios), "mq log");
+    within_5pct(
+        accounted_tables,
+        reference_tables,
+        "cache tables after ingest",
+    );
+    within_5pct(
+        acct.component_bytes("mq_log"),
+        broker_log_bytes(&helios),
+        "mq log",
+    );
     assert_eq!(
         acct.component_bytes("trace_retention"),
         helios.retained_traces().retained_bytes(),
@@ -192,7 +201,10 @@ fn healthz_flips_on_sustained_memory_pressure_and_recovers() {
     helios.ingest_batch(&small_workload(8)).unwrap();
     assert!(helios.quiesce(Duration::from_secs(60)));
     let (status, body) = http_get(ops, "/healthz");
-    assert!(status.contains("200"), "under-budget deployment 503: {body}");
+    assert!(
+        status.contains("200"),
+        "under-budget deployment 503: {body}"
+    );
 
     // Push the ledger over budget through a registered component gauge —
     // the same path every real component uses, sized deterministically.
@@ -206,7 +218,10 @@ fn healthz_flips_on_sustained_memory_pressure_and_recovers() {
         }
         std::thread::sleep(Duration::from_millis(20));
     };
-    assert!(status.contains("503"), "sustained pressure never degraded: {body}");
+    assert!(
+        status.contains("503"),
+        "sustained pressure never degraded: {body}"
+    );
     assert!(
         body.contains("\"component\":\"memory\",\"healthy\":false"),
         "memory probe not the failing one: {body}"
