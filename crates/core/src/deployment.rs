@@ -84,7 +84,7 @@ impl ServingSet {
         let mut w = tier.watermarks(self.logical() as u32);
         w.replicas = self.replicas as u64;
         for s in &self.workers {
-            w.queues[s.id().0 as usize].applied += s.applied() + s.decode_errors();
+            w.queues[s.id().0 as usize].applied += s.consumed();
         }
         w
     }

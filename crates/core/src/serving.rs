@@ -101,6 +101,10 @@ pub struct ServingWorker {
     served: Arc<Counter>,
     applied: Arc<Counter>,
     decode_errors: Arc<Counter>,
+    /// `applied + decode_errors` when this worker started: a worker
+    /// re-created by a rescale inherits its predecessor's registry
+    /// counters, but not its queue.
+    consumed_before: u64,
     sample_hits: Arc<Counter>,
     sample_misses: Arc<Counter>,
     feature_hits: Arc<Counter>,
@@ -232,7 +236,10 @@ impl ServingWorker {
                 ("stage", stage),
             ]
         };
+        let applied = registry.counter("serving.applied", labels);
+        let decode_errors = registry.counter("serving.decode_errors", labels);
         let worker = Arc::new(ServingWorker {
+            consumed_before: applied.get() + decode_errors.get(),
             id,
             replica,
             query: query.clone(),
@@ -257,8 +264,8 @@ impl ServingWorker {
             ),
             cache_apply_latency: registry.histogram("serving.cache_apply_latency", labels),
             served: registry.counter("serving.served", labels),
-            applied: registry.counter("serving.applied", labels),
-            decode_errors: registry.counter("serving.decode_errors", labels),
+            applied,
+            decode_errors,
             sample_hits: registry.counter("serving.cache_hit", &hit_labels("samples")),
             sample_misses: registry.counter("serving.cache_miss", &hit_labels("samples")),
             feature_hits: registry.counter("serving.cache_hit", &hit_labels("features")),
@@ -671,6 +678,12 @@ impl ServingWorker {
     /// therefore *not* applied).
     pub fn decode_errors(&self) -> u64 {
         self.decode_errors.get()
+    }
+
+    /// Records this worker has taken off its sample queue since it
+    /// started, applied or rejected: its term of the drain equation.
+    pub fn consumed(&self) -> u64 {
+        self.applied() + self.decode_errors() - self.consumed_before
     }
 
     /// Sample-table cache lookups: (hits, misses).

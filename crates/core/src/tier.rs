@@ -363,9 +363,10 @@ impl Watermarks {
         format!("forwarded_{s}")
     }
 
-    /// Every stage has consumed what the stage before it produced.
-    /// `applied >= forwarded`: a relay retry after a lost ack can deliver
-    /// a batch twice; duplicates are idempotent downstream.
+    /// Every stage has consumed exactly what the stage before it
+    /// produced. A relay retry after a lost ack redelivers a batch, but
+    /// the serve host lands each record only at its source offset, so
+    /// `applied` never runs ahead of `forwarded` and equality is exact.
     pub fn drained(&self) -> bool {
         self.updates_done == self.updates_end
             && self.control_done == self.control_end
@@ -373,19 +374,21 @@ impl Watermarks {
             && self
                 .queues
                 .iter()
-                .all(|q| q.forwarded == q.end && q.applied >= q.forwarded * self.replicas)
+                .all(|q| q.forwarded == q.end && q.applied == q.forwarded * self.replicas)
     }
 
     /// The drain equation as one number: messages produced but not yet
     /// consumed over all stages plus the mailbox backlog. Zero means
     /// drained; a live pipeline under load sits at a small positive value.
+    /// Records applied beyond what was forwarded count too: they can only
+    /// be duplicates, which the equation must not absorb.
     pub fn deficit(&self) -> u64 {
         let queues: u64 = self
             .queues
             .iter()
             .map(|q| {
                 q.end.saturating_sub(q.forwarded)
-                    + (q.forwarded * self.replicas).saturating_sub(q.applied)
+                    + (q.forwarded * self.replicas).abs_diff(q.applied)
             })
             .sum();
         self.updates_end.saturating_sub(self.updates_done)
@@ -508,11 +511,17 @@ mod tests {
     }
 
     #[test]
-    fn a_duplicated_relay_batch_still_counts_as_drained() {
+    fn a_redelivery_cannot_stand_in_for_an_unapplied_batch() {
+        // Batch A (3 records) lands but its ack is lost; A is applied
+        // twice; B is acked, so forwarded = 6 while B is still in flight.
+        // With `applied >= forwarded` this read as drained.
         let mut w = drained_marks();
         w.replicas = 1;
-        w.queues[0].applied = 9; // 6 forwarded, one 3-record batch redelivered
+        w.queues[0].applied = 6;
+        w.queues[0].forwarded = 6;
         assert!(w.drained());
-        assert_eq!(w.deficit(), 0);
+        w.queues[0].applied = 9;
+        assert!(!w.drained(), "an over-count is not a drain");
+        assert_eq!(w.deficit(), 3);
     }
 }

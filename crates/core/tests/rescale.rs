@@ -285,6 +285,31 @@ fn rescale_soak_cycles_stay_cache_equivalent() {
     helios.shutdown();
 }
 
+/// A serving worker re-created by a later scale-out inherits its
+/// predecessor's `serving.applied` counter but reads a fresh sample
+/// queue. The drain equation counts only what the new worker consumed,
+/// so the deployment still quiesces — and serves what a never-rescaled
+/// deployment does.
+#[test]
+fn a_worker_recreated_by_rescale_still_drains() {
+    let chunks = workload(3);
+    let expect = reference(&chunks);
+    let helios = HeliosDeployment::start(HeliosConfig::with_workers(2, 2), query()).unwrap();
+    helios.ingest_batch(&chunks[0]).unwrap();
+    helios.scale_to(3).unwrap();
+    helios.ingest_batch(&chunks[1]).unwrap();
+    assert!(helios.quiesce(SETTLE));
+    helios.scale_to(2).unwrap();
+    helios.scale_to(3).unwrap();
+    helios.ingest_batch(&chunks[2]).unwrap();
+    assert!(
+        helios.quiesce(SETTLE),
+        "the re-created worker never drained"
+    );
+    assert_eq!(serve_all(&helios), expect);
+    helios.shutdown();
+}
+
 /// An abandoned handoff must leave no trace: an impossible deadline makes
 /// every attempt time out before its prepare watermark, and afterwards
 /// routing is untouched, a `HandoffAborted` event carries each attempt's

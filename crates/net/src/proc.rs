@@ -13,9 +13,10 @@
 //!   on — is preserved end to end.
 //! - [`ServeHost`] owns one serving worker and its local `samples-<s>`
 //!   topic. Incoming `Produce` frames are appended partition-for-
-//!   partition, key-for-key, so the worker's updater threads see exactly
-//!   the sequence they would have seen in process, and serve replies are
-//!   byte-identical to the in-process transport on the same stream.
+//!   partition, key-for-key, each record at its source offset, so the
+//!   worker's updater threads see exactly the sequence they would have
+//!   seen in process — a redelivered batch lands once — and serve replies
+//!   are byte-identical to the in-process transport on the same stream.
 //!
 //! The sampling host is the same [`SamplingTier`] `HeliosDeployment`
 //! runs in process. Both hosts expose the drain numbers (`StatsOk`) a
@@ -35,7 +36,8 @@ use helios_mq::{Broker, Topic, TopicConfig};
 use helios_query::KHopQuery;
 use helios_telemetry::registry::Registry;
 use helios_telemetry::{FlightRecorder, HealthReport, OpsServer, OpsState, TraceCtx};
-use helios_types::{HeliosError, Result, ServingWorkerId, VertexId};
+use helios_types::{HeliosError, PartitionId, Result, ServingWorkerId, VertexId};
+use parking_lot::Mutex;
 
 use crate::server::{NetServer, NetService};
 use crate::transport::{NetMetrics, TcpOptions, TcpTransport, Transport};
@@ -64,6 +66,52 @@ struct ServeHostService {
     sew: u32,
     worker: Arc<ServingWorker>,
     topic: Arc<Topic>,
+    /// Serializes `Produce` handling: the offset check and the append
+    /// must not interleave with a redelivery arriving on another
+    /// connection.
+    produce_lock: Mutex<()>,
+}
+
+/// The records of a relayed batch not yet in `topic`. Each partition's
+/// end offset is the next source offset it expects (the relay appends
+/// nothing else to it): records below it already landed and are
+/// skipped; a record above it means an earlier one is missing, and the
+/// whole batch is refused so the relay retries.
+fn fresh_records(
+    topic: &Topic,
+    records: Vec<RelayRecord>,
+) -> Result<Vec<(PartitionId, u64, bytes::Bytes)>> {
+    let mut next: Vec<u64> = (0..topic.partition_count())
+        .map(|p| {
+            topic
+                .partition(PartitionId(p))
+                .map_or(0, |p| p.end_offset())
+        })
+        .collect();
+    let mut fresh = Vec::with_capacity(records.len());
+    for rec in records {
+        let Some(expect) = next.get_mut(rec.partition.0 as usize) else {
+            return Err(HeliosError::NotFound(format!(
+                "partition {} of {}",
+                rec.partition.0,
+                topic.name()
+            )));
+        };
+        if rec.offset < *expect {
+            continue;
+        }
+        if rec.offset > *expect {
+            return Err(HeliosError::NotFound(format!(
+                "{} partition {} is missing offsets {expect}..{}",
+                topic.name(),
+                rec.partition.0,
+                rec.offset
+            )));
+        }
+        *expect += 1;
+        fresh.push((rec.partition, rec.key, rec.payload));
+    }
+    Ok(fresh)
 }
 
 impl NetService for ServeHostService {
@@ -80,13 +128,11 @@ impl NetService for ServeHostService {
                         message: format!("this process hosts sew {}, not {sew}", self.sew),
                     };
                 }
-                // One sequence bump and one wake-up for the whole relayed
-                // batch, not one per record.
-                let landed = self.topic.produce_many_to(
-                    records
-                        .into_iter()
-                        .map(|rec| (rec.partition, rec.key, rec.payload)),
-                );
+                // What has not landed yet lands with one sequence bump and
+                // one wake-up for the whole batch, not one per record.
+                let _one_batch_at_a_time = self.produce_lock.lock();
+                let landed = fresh_records(&self.topic, records)
+                    .and_then(|fresh| self.topic.produce_many_to(fresh));
                 match landed {
                     Ok(count) => Payload::Ack {
                         count: count as u64,
@@ -161,6 +207,7 @@ impl ServeHost {
             sew: host.sew,
             worker: Arc::clone(&worker),
             topic,
+            produce_lock: Mutex::new(()),
         });
         let net = NetMetrics::new(&registry, "worker");
         let server = NetServer::start(&host.listen, service, net, Some(Arc::clone(&recorder)))?;
@@ -450,6 +497,7 @@ fn relay_loop(
             .map(|r| RelayRecord {
                 partition: r.partition,
                 key: r.key,
+                offset: r.offset,
                 payload: r.payload,
             })
             .collect();
@@ -464,10 +512,10 @@ fn relay_loop(
                     break;
                 }
                 Ok(_) | Err(_) => {
-                    // Not acked: the batch was not applied. Redeliver the
-                    // same frame — produce_to is append-only, and the
-                    // receiver only acks after every record landed, so
-                    // retrying a failed delivery cannot reorder.
+                    // Not acked: redeliver the same frame. The receiver
+                    // lands each record only at its source offset, so a
+                    // batch that did land before its ack was lost is
+                    // skipped, not appended twice.
                     if stop.load(Ordering::SeqCst) {
                         return;
                     }

@@ -120,14 +120,18 @@ impl ErrCode {
 }
 
 /// One relayed sample-queue record: the sampling host ships the raw topic
-/// payload with its partition and key so the receiving serving worker's
-/// local topic reproduces the exact per-partition sequence.
+/// payload with its partition, key and source offset so the receiving
+/// serving worker's local topic reproduces the exact per-partition
+/// sequence, each record exactly once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelayRecord {
     /// Destination partition in the receiver's `samples-<sew>` topic.
     pub partition: PartitionId,
     /// Producer routing key (the sample message's routing vertex).
     pub key: u64,
+    /// The record's offset in the sender's `samples-<sew>` partition; the
+    /// receiver lands it only at the same offset of its own partition.
+    pub offset: u64,
     /// The encoded [`helios_core::SampleMsg`] bytes, shipped opaquely.
     pub payload: Bytes,
 }
@@ -136,6 +140,7 @@ impl Encode for RelayRecord {
     fn encode(&self, buf: &mut BytesMut) {
         self.partition.encode(buf);
         self.key.encode(buf);
+        self.offset.encode(buf);
         (self.payload.len() as u32).encode(buf);
         buf.put_slice(&self.payload);
     }
@@ -145,6 +150,7 @@ impl Decode for RelayRecord {
     fn decode(buf: &mut impl Buf) -> Result<Self> {
         let partition = PartitionId::decode(buf)?;
         let key = u64::decode(buf)?;
+        let offset = u64::decode(buf)?;
         let len = u32::decode(buf)? as usize;
         if len > buf.remaining() {
             return Err(HeliosError::Codec(format!(
@@ -155,6 +161,7 @@ impl Decode for RelayRecord {
         Ok(RelayRecord {
             partition,
             key,
+            offset,
             payload: buf.copy_to_bytes(len),
         })
     }
@@ -551,11 +558,13 @@ mod tests {
                         RelayRecord {
                             partition: PartitionId(0),
                             key: 9,
+                            offset: 0,
                             payload: Bytes::from(vec![0xAA; 20]),
                         },
                         RelayRecord {
                             partition: PartitionId(3),
                             key: 11,
+                            offset: u64::MAX,
                             payload: Bytes::new(),
                         },
                     ],
@@ -783,6 +792,44 @@ mod tests {
                 request_id: edge,
                 payload: Payload::Ack { count: edge },
             });
+        }
+    }
+
+    #[test]
+    fn produce_round_trips_any_source_offsets() {
+        for seed in SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                let n = rng.gen_range(0..5);
+                let mut records = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let len = rng.gen_range(0..24);
+                    records.push(RelayRecord {
+                        partition: PartitionId(rng.gen()),
+                        key: rng.gen(),
+                        offset: rng.gen(),
+                        payload: Bytes::from(vec![rng.gen::<u8>(); len]),
+                    });
+                }
+                let frame = Frame {
+                    request_id: rng.gen(),
+                    payload: Payload::Produce {
+                        sew: rng.gen(),
+                        records,
+                    },
+                };
+                roundtrip(&frame);
+                // Every truncation of a randomised batch, offsets included,
+                // is a clean codec error.
+                let bytes = frame.to_bytes();
+                for cut in 0..bytes.len() {
+                    assert!(
+                        matches!(Frame::decode(&bytes[..cut]), Err(HeliosError::Codec(_))),
+                        "seed {seed}: cut at {cut}/{} decoded",
+                        bytes.len()
+                    );
+                }
+            }
         }
     }
 }

@@ -2,8 +2,8 @@
 //! (in-process vs TCP), client pipelining under a bounded in-flight
 //! budget, corrupt-frame handling, gateway admission control, the
 //! gateway's worker-aware /healthz aggregation, serve-scratch accounting
-//! on a serve worker's connection threads, and socket release when a
-//! client is dropped.
+//! on a serve worker's connection threads, exactly-once landing of
+//! relayed sample batches, and socket release when a client is dropped.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -11,14 +11,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use helios_core::HeliosConfig;
+use helios_core::{HeliosConfig, SampleMsg};
 use helios_net::{
     Client, Gateway, GatewayConfig, InProcTransport, NetMetrics, NetServer, NetService, Payload,
-    ServeHost, ServeHostConfig, TcpOptions, TcpTransport, Transport,
+    RelayRecord, ServeHost, ServeHostConfig, TcpOptions, TcpTransport, Transport,
 };
 use helios_query::{KHopQuery, SamplingStrategy};
 use helios_telemetry::Registry;
-use helios_types::{EdgeType, HeliosError, VertexId, VertexType};
+use helios_types::{EdgeType, Encode, HeliosError, PartitionId, VertexId, VertexType};
 
 /// A deterministic service: the reply for seed `v` is a function of `v`,
 /// so in-process and TCP replies can be compared byte for byte.
@@ -272,6 +272,72 @@ fn serve_host() -> ServeHost {
         query,
     })
     .unwrap()
+}
+
+/// A relay's `Produce` for sample-queue partition 0 carrying source
+/// offsets `offsets`, one valid sample message per record.
+fn produce(offsets: std::ops::Range<u64>) -> Payload {
+    Payload::Produce {
+        sew: 0,
+        records: offsets
+            .map(|offset| RelayRecord {
+                partition: PartitionId(0),
+                key: offset,
+                offset,
+                payload: SampleMsg::EvictFeature {
+                    vertex: VertexId(offset),
+                }
+                .encode_to_bytes(),
+            })
+            .collect(),
+    }
+}
+
+/// Records the host's updaters have taken off its sample queue (applied
+/// or rejected as undecodable): polled until it reaches `want`, then read
+/// once more after a grace period so an over-count has time to show.
+fn landed(host: &ServeHost, want: u64) -> u64 {
+    let read = || host.worker().applied() + host.worker().decode_errors();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while read() < want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    read()
+}
+
+/// A batch redelivered after a lost ack lands once: the serve host skips
+/// every record below its queue's end offset, so `applied` counts each
+/// source record exactly once and the drain equation needs no slack.
+#[test]
+fn a_redelivered_produce_batch_is_applied_once() {
+    let host = serve_host();
+    let relay = TcpTransport::connect(&host.addr().to_string());
+    for _ in 0..2 {
+        let reply = relay.call(produce(0..3)).expect("batch A acked");
+        assert!(matches!(reply, Payload::Ack { .. }), "{reply:?}");
+    }
+    relay.call(produce(3..6)).expect("batch B acked");
+    assert_eq!(landed(&host, 6), 6, "a redelivered batch was applied twice");
+    host.shutdown();
+}
+
+/// A batch that skips ahead of the queue's end offset lands nothing and
+/// is refused, so the relay retries; a batch overlapping what already
+/// landed lands only its new suffix.
+#[test]
+fn a_produce_batch_with_a_gap_lands_nothing() {
+    let host = serve_host();
+    let relay = TcpTransport::connect(&host.addr().to_string());
+    relay.call(produce(0..3)).expect("first batch acked");
+    assert!(
+        relay.call(produce(4..6)).is_err(),
+        "a batch missing offset 3 was acked"
+    );
+    assert_eq!(landed(&host, 3), 3, "a gapped batch landed records");
+    relay.call(produce(1..5)).expect("overlapping batch acked");
+    assert_eq!(landed(&host, 5), 5, "the overlap was applied twice");
+    host.shutdown();
 }
 
 /// Poll `read` until it returns 0 or `within` passes; returns the last
