@@ -80,14 +80,16 @@ pub struct HeliosConfig {
     /// Byte capacity of each hybrid cache's shared block cache of decoded
     /// SST granules; `0` disables block caching.
     pub cache_block_cache_bytes: usize,
-    /// Refresh period of the deployment's pipeline-lag gauges (mq
-    /// consumer lag, shard mailbox depth, cache sizes); `None` disables
-    /// the stats reporter thread.
+    /// Refresh period of the process's `helios-stats` reporter (mq
+    /// consumer lag, shard mailbox depth, cache sizes, `mem.bytes`, the
+    /// retained-trace sweep) — in process and in every launcher worker;
+    /// `None` disables the thread.
     pub stats_interval: Option<Duration>,
-    /// Bind address for the deployment's embedded ops HTTP server
-    /// (`/metrics`, `/healthz`, `/vars`, `/trace/*`, `/recorder`); `None`
-    /// (the default) disables it. Use port `0` for an ephemeral port.
-    /// The `HELIOS_OPS_ADDR` env var feeds this in the examples/bench.
+    /// Bind address for the process's embedded ops HTTP server
+    /// (`/metrics`, `/healthz`, `/vars`, `/trace/*`, `/traces`,
+    /// `/recorder`, `/profile`); `None` (the default) disables it. Use
+    /// port `0` for an ephemeral port. The launcher's `--ops-addr` and,
+    /// in the examples/bench, the `HELIOS_OPS_ADDR` env var feed this.
     pub ops_addr: Option<String>,
     /// End-to-end freshness probing; `None` (the default) disables it.
     /// Probes continuously inject marker updates, so quiesce-based tests

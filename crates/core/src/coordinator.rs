@@ -45,11 +45,6 @@ impl Coordinator {
         self.liveness.register(name)
     }
 
-    /// Remove a worker from heartbeat monitoring (scale-in).
-    pub fn deregister_worker(&self, name: &str) {
-        self.liveness.deregister(name);
-    }
-
     /// Shared handle to the liveness registry, for long-lived probe
     /// closures that must not borrow the coordinator.
     pub fn liveness(&self) -> Arc<Liveness> {

@@ -5,8 +5,9 @@
 //! architecture (§4–§6 of *Helios: Efficient Distributed Dynamic Graph
 //! Sampling for Online GNN Inference*, PPoPP'25).
 //!
-//! A [`HeliosDeployment`] is the [`SamplingTier`] plus in-process
-//! serving workers; together they wire up:
+//! A [`HeliosDeployment`] is a [`SamplingTier`] plus a [`ServingTier`]
+//! on one broker, observed through one [`OpsPlane`]; together they wire
+//! up:
 //!
 //! * a **coordinator** ([`coordinator`]) that registers the user's K-hop
 //!   sampling query, decomposes it into one-hop queries with a dependency
@@ -47,6 +48,7 @@ pub mod config;
 pub mod coordinator;
 pub mod deployment;
 pub mod messages;
+pub mod plane;
 pub mod report;
 pub mod rescale;
 pub mod sampler;
@@ -57,11 +59,12 @@ pub use config::{FreshnessConfig, HeliosConfig};
 pub use coordinator::Coordinator;
 pub use deployment::HeliosDeployment;
 pub use messages::{ControlMsg, SampleEntryLite, SampleMsg, UpdateEnvelope};
+pub use plane::OpsPlane;
 pub use report::{DeploymentReport, SamplingReport, ServingReport};
 pub use rescale::AutoscalerGuard;
 pub use sampler::SamplingWorker;
 pub use serving::{ServingMemGauges, ServingWorker};
-pub use tier::{QueueMark, SamplingTier, Watermarks};
+pub use tier::{QueueMark, SamplingTier, ServingTier, Watermarks};
 
 // Membership/rescale vocabulary, re-exported so deployments can configure
 // the autoscaler without depending on helios-membership directly.

@@ -38,29 +38,16 @@
 //! decisions. [`HeliosDeployment::register_scale_endpoint`] adds a
 //! `/scale?target=N` manual override to the ops server.
 
-use crate::deployment::{HeliosDeployment, ServingSet};
+use crate::deployment::HeliosDeployment;
 use crate::sampler::topics;
-use crate::serving::ServingWorker;
 use helios_membership::{MembershipMsg, ScaleController, ScalePolicy, ScaleSignals};
-use helios_telemetry::EventKind;
-use helios_types::{Encode, HeliosError, PartitionId, Result, ServingWorkerId};
+use helios_telemetry::{EventKind, StatsReporter};
+use helios_types::{Encode, HeliosError, PartitionId, Result};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Stops the autoscaler thread on drop.
-pub struct AutoscalerGuard {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for AutoscalerGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
+/// The autoscaler thread; stops on drop.
+pub type AutoscalerGuard = StatsReporter;
 
 impl HeliosDeployment {
     /// Rescale the serving fleet to `target` logical workers, live. Safe
@@ -95,7 +82,7 @@ impl HeliosDeployment {
         }
         let started = Instant::now();
         let deadline = started + self.config.rescale_timeout;
-        self.recorder.record(
+        self.plane.recorder().record(
             EventKind::HandoffStarted,
             u32::MAX,
             cur_table.epoch(),
@@ -120,39 +107,15 @@ impl HeliosDeployment {
         // moment a commit lands there is a worker behind every slot.
         // `have` (set size) can exceed `cur` (routed size) after an
         // abandoned scale-out; those workers are reused, not re-created.
-        let have = self.serving.read().logical();
+        // New sample queues charge the shared mq_log gauge, and joining
+        // workers' caches join the memory ledger — the accountant follows
+        // the fleet through rescales.
+        let have = self.serving.logical();
         if target > have {
-            let query = self.coordinator.query().clone();
-            let replicas = self.config.serving_replicas as u32;
-            let mut joined: Vec<Arc<ServingWorker>> = Vec::new();
             for s in have as u32..target as u32 {
-                // New sample queues charge the shared mq_log gauge, and
-                // joining workers' caches join the memory ledger — the
-                // accountant follows the fleet through rescales.
                 self.tier.create_sample_queue(s)?;
-                for r in 0..replicas {
-                    let beacon = self.coordinator.register_worker(&format!("sew{s}-r{r}"));
-                    let worker = ServingWorker::start(
-                        ServingWorkerId(s),
-                        r,
-                        &self.config,
-                        &query,
-                        self.tier.broker(),
-                        beacon,
-                        &self.telemetry,
-                        &self.recorder,
-                    )?;
-                    crate::deployment::adopt_serving_mem(&self.accountant, &worker);
-                    joined.push(worker);
-                }
             }
-            let mut guard = self.serving.write();
-            let mut workers = guard.workers.clone();
-            workers.extend(joined);
-            *guard = Arc::new(ServingSet {
-                replicas: guard.replicas,
-                workers,
-            });
+            self.serving.extend_to(target)?;
         }
 
         // Phase 1: Prepare. New owners of moved seeds get charged (cache
@@ -178,7 +141,7 @@ impl HeliosDeployment {
             let _ = self.broadcast_membership(&MembershipMsg::Abort {
                 table: (*new_table).clone(),
             });
-            self.recorder.record(
+            self.plane.recorder().record(
                 EventKind::HandoffAborted,
                 u32::MAX,
                 epoch,
@@ -203,7 +166,7 @@ impl HeliosDeployment {
         // Defense in depth: with zero sampling workers the broadcast has
         // no installer (idempotent — normally already done by a sampler).
         self.tier.router().install(Arc::clone(&new_table));
-        self.recorder.record(
+        self.plane.recorder().record(
             EventKind::EpochBump,
             u32::MAX,
             epoch,
@@ -219,23 +182,9 @@ impl HeliosDeployment {
         // abandoned scale-out can leave warm spares above `cur`, and
         // truncation removes those too — their topics must go with them
         // or they'd linger with no consumer.
-        let have = self.serving.read().logical();
+        let have = self.serving.logical();
         if target < have {
-            let removed: Vec<Arc<ServingWorker>> = {
-                let mut guard = self.serving.write();
-                let mut workers = guard.workers.clone();
-                let removed = workers.split_off(target * guard.replicas);
-                *guard = Arc::new(ServingSet {
-                    replicas: guard.replicas,
-                    workers,
-                });
-                removed
-            };
-            for w in &removed {
-                w.shutdown();
-                self.coordinator
-                    .deregister_worker(&format!("sew{}-r{}", w.id().0, w.replica()));
-            }
+            self.serving.truncate_to(target);
             for s in target as u32..have as u32 {
                 let _ = self.tier.broker().delete_topic(&topics::samples(s));
             }
@@ -244,7 +193,7 @@ impl HeliosDeployment {
             }
         }
 
-        self.recorder.record(
+        self.plane.recorder().record(
             EventKind::HandoffCompleted,
             u32::MAX,
             epoch,
@@ -299,30 +248,26 @@ impl HeliosDeployment {
     fn await_catch_up(&self, deadline: Instant) -> Result<()> {
         let rounds = self.coordinator.dag().len() + 1;
         for _ in 0..rounds {
-            let control_end = self
-                .tier
-                .broker()
-                .topic(topics::CONTROL)
-                .map(|t| t.total_end_offset())
-                .unwrap_or(0);
+            let control_end = self.tier.watermarks(0).control_end;
             self.await_watermark(deadline, "control drain", || {
-                let done: u64 = self
-                    .tier
-                    .workers()
-                    .iter()
-                    .map(|w| w.metrics().control_processed.get())
-                    .sum();
-                done >= control_end
+                self.tier.watermarks(0).control_done >= control_end
             })?;
         }
         self.await_watermark(deadline, "sample-queue catch-up", || {
-            self.tier
-                .broker()
-                .lag_report()
-                .iter()
-                .filter(|e| e.topic.starts_with("samples-"))
-                .all(|e| e.lag == 0)
+            self.max_sample_lag() == 0
         })
+    }
+
+    /// The worst consumer lag over every serving worker's sample queue.
+    fn max_sample_lag(&self) -> u64 {
+        self.tier
+            .broker()
+            .lag_report()
+            .iter()
+            .filter(|e| e.topic.starts_with("samples-"))
+            .map(|e| e.lag)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Register the `/scale?target=N` manual override on the deployment's
@@ -338,7 +283,7 @@ impl HeliosDeployment {
         // the claim and gets 202; the loser gets 409 instead of silently
         // queueing a second rescale behind the first.
         let inflight = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        self.dyn_routes.register("/scale", move |_method, query| {
+        self.dyn_routes().register("/scale", move |_method, query| {
             use std::sync::atomic::Ordering;
             let Some(target) = parse_target(query) else {
                 return (
@@ -402,58 +347,31 @@ impl HeliosDeployment {
         tick: Duration,
     ) -> AutoscalerGuard {
         let weak = Arc::downgrade(self);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
         let mut controller = ScaleController::new(policy);
-        let handle = std::thread::Builder::new()
-            .name("helios-autoscaler".into())
-            .spawn(move || {
-                while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
-                    let wake = Instant::now() + tick;
-                    while Instant::now() < wake {
-                        if stop2.load(std::sync::atomic::Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(5).min(tick));
-                    }
-                    let Some(d) = weak.upgrade() else {
-                        return;
-                    };
-                    let signals = d.scale_signals();
-                    if let Some(decision) = controller.observe(&signals) {
-                        // Failures (e.g. a timed-out handoff) leave routing
-                        // untouched; the cooldown keeps us from hammering.
-                        let _ = d.scale_to(decision.target());
-                    }
-                }
-            })
-            .expect("spawn autoscaler");
-        AutoscalerGuard {
-            stop,
-            handle: Some(handle),
-        }
+        StatsReporter::start("helios-autoscaler", tick, move || {
+            let Some(d) = weak.upgrade() else {
+                return;
+            };
+            let signals = d.scale_signals();
+            if let Some(decision) = controller.observe(&signals) {
+                // Failures (e.g. a timed-out handoff) leave routing
+                // untouched; the cooldown keeps us from hammering.
+                let _ = d.scale_to(decision.target());
+            }
+        })
     }
 
     /// One tick's autoscaler inputs, straight off live telemetry.
     pub fn scale_signals(&self) -> ScaleSignals {
-        let max_sample_lag = self
-            .tier
-            .broker()
-            .lag_report()
-            .iter()
-            .filter(|e| e.topic.starts_with("samples-"))
-            .map(|e| e.lag)
-            .max()
-            .unwrap_or(0);
-        let set = Arc::clone(&self.serving.read());
-        let serve_p99_ms = set
-            .workers
+        let serve_p99_ms = self
+            .serving
+            .workers()
             .iter()
             .map(|w| w.serve_latency().percentile_ms(99.0))
             .fold(0.0f64, f64::max);
         ScaleSignals {
             workers: self.tier.router().table().workers(),
-            max_sample_lag,
+            max_sample_lag: self.max_sample_lag(),
             slo_short_burn: self.slo.short_burn(),
             serve_p99_ms,
         }

@@ -184,8 +184,8 @@ impl ServingWorker {
     /// `samples-<id>`. Each replica consumes the full sample queue under
     /// its own consumer group, so replicas converge to identical caches
     /// (§4.1's replication of highly loaded serving workers).
-    #[allow(clippy::too_many_arguments)] // deployment-internal constructor
-    pub fn start(
+    #[allow(clippy::too_many_arguments)] // called only by `ServingTier`
+    pub(crate) fn start(
         id: ServingWorkerId,
         replica: u32,
         config: &HeliosConfig,

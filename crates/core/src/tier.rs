@@ -1,26 +1,41 @@
-//! The sampling tier (Fig. 5, §4.1): the partitioned update stream, the
-//! M sampling workers consuming it, the shared seed→worker router and one
-//! sample queue per serving worker — built once, here, for both
-//! assemblies. `HeliosDeployment` is this tier plus in-process serving
-//! workers on the tier's broker; the launcher's `SamplingHost` is this
-//! tier plus one TCP relay per serving worker.
+//! The two tiers of Fig. 5 (§4.1), each built once, here, for every
+//! assembly:
+//!
+//! - [`SamplingTier`]: the partitioned update stream, the M sampling
+//!   workers consuming it, the shared seed→worker router and one sample
+//!   queue per serving worker.
+//! - [`ServingTier`]: serving workers (and their replicas), each applying
+//!   its sample queue to a query-aware cache that serving threads read.
+//!
+//! `HeliosDeployment` is a sampling tier plus a serving tier on the same
+//! broker; the launcher's `SamplingHost` is a sampling tier plus one TCP
+//! relay per serving worker, and its `ServeHost` a serving tier of one
+//! worker on a local queue. Each tier brings its own `/healthz` probes
+//! and its share of the stats tick to the process's
+//! [`crate::plane::OpsPlane`].
 //!
 //! [`Watermarks`] is the one drain equation: `quiesce`, the `/healthz`
-//! "pipeline" probe, the sampling host's `StatsOk` reply and the
-//! multi-process drain loops all read it.
+//! "pipeline" probe, both hosts' `StatsOk` replies and the multi-process
+//! drain loops all read it.
 
 use crate::config::HeliosConfig;
 use crate::coordinator::Coordinator;
 use crate::messages::UpdateEnvelope;
+use crate::plane::{mq_probe, OpsPlane};
 use crate::sampler::{topics, SamplingWorker};
+use crate::serving::ServingWorker;
+use helios_actor::Liveness;
 use helios_membership::{RouteTable, Router};
 use helios_mq::{Broker, Topic, TopicConfig};
 use helios_query::KHopQuery;
-use helios_telemetry::{EventKind, FlightRecorder, Registry};
+use helios_telemetry::ops::HealthProbe;
+use helios_telemetry::{EventKind, FlightRecorder, HealthReport, MemAccountant, Registry};
 use helios_types::{
     hash::route, Decode, Encode, GraphUpdate, MemGauge, PartitionId, Result, SamplingWorkerId,
-    VertexId,
+    ServingWorkerId, VertexId,
 };
+use parking_lot::RwLock;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -110,7 +125,8 @@ impl SamplingTier {
     }
 
     /// Start the M sampling workers, restoring each from `restore` when
-    /// given. A checkpoint taken under a different topology or routing
+    /// given, and charge every topic's log to `plane`'s `mq_log` ledger
+    /// entry. A checkpoint taken under a different topology or routing
     /// table raises a `TopologyMismatch` flight event and every worker
     /// re-derives its subscriptions under the epoch-0 table (no traffic
     /// has flowed yet). Comparing the table — not just worker counts —
@@ -120,10 +136,11 @@ impl SamplingTier {
         &mut self,
         query: &KHopQuery,
         coordinator: &Coordinator,
-        registry: &Registry,
-        recorder: &Arc<FlightRecorder>,
+        plane: &OpsPlane,
         restore: Option<&Path>,
     ) -> Result<()> {
+        plane.accountant().adopt("mq_log", &[], self.mq_log.clone());
+        let (registry, recorder) = (plane.registry(), plane.recorder());
         for w in 0..self.config.sampling_workers as u32 {
             let beacon = coordinator.register_worker(&format!("saw{w}"));
             let worker = SamplingWorker::start(
@@ -197,11 +214,6 @@ impl SamplingTier {
         &self.workers
     }
 
-    /// The gauge all topics charge their retained log bytes to.
-    pub(crate) fn mq_log_gauge(&self) -> &MemGauge {
-        &self.mq_log
-    }
-
     /// Ingest one graph update: expand it per the edge partition policy,
     /// stamp each copy and append it to its routing vertex's partition of
     /// the update stream (the front end of Fig. 5).
@@ -233,6 +245,70 @@ impl SamplingTier {
     /// Pending messages in every sampling shard's mailbox.
     pub fn backlog(&self) -> u64 {
         self.workers.iter().map(|w| w.backlog() as u64).sum()
+    }
+
+    /// The tier's `/healthz` probes: `mq` (every consumer group's lag
+    /// within `health_max_lag`) and `sampler` (the shard mailboxes'
+    /// total backlog within `health_max_backlog`).
+    pub fn probes(self: &Arc<Self>) -> Vec<HealthProbe> {
+        let tier = Arc::clone(self);
+        let max_backlog = self.config.health_max_backlog as u64;
+        vec![
+            mq_probe(&self.broker, self.config.health_max_lag),
+            Box::new(move || {
+                let total = tier.backlog();
+                HealthReport::new(
+                    "sampler",
+                    total <= max_backlog,
+                    format!("mailbox backlog {total} (bound {max_backlog})"),
+                )
+            }),
+        ]
+    }
+
+    /// The tier's share of a stats tick: `mq.lag{group,topic}` (plus a
+    /// lag sample in the flight ring), `actor.mailbox_depth{worker}`, and
+    /// the fleet's shape — routing epoch, routed serving workers and,
+    /// with `health_worker_timeout` set, workers whose heartbeats on
+    /// `coordinator` expired — so `/vars` answers "what shape is the
+    /// fleet in" without scraping the membership topic.
+    pub fn stats_tick(
+        self: &Arc<Self>,
+        plane: &OpsPlane,
+        coordinator: &Coordinator,
+    ) -> impl FnMut() + Send + 'static {
+        let tier = Arc::clone(self);
+        let registry = Arc::clone(plane.registry());
+        let recorder = Arc::clone(plane.recorder());
+        let liveness = coordinator.liveness();
+        move || {
+            let (mut total_lag, mut max_lag) = (0u64, 0u64);
+            for e in tier.broker.lag_report() {
+                registry
+                    .gauge("mq.lag", &[("group", &e.group), ("topic", &e.topic)])
+                    .set(e.lag as i64);
+                total_lag += e.lag;
+                max_lag = max_lag.max(e.lag);
+            }
+            recorder.record(EventKind::LagSample, u32::MAX, total_lag, max_lag, 0);
+            for w in &tier.workers {
+                registry
+                    .gauge("actor.mailbox_depth", &[("worker", &w.id().0.to_string())])
+                    .set(w.backlog() as i64);
+            }
+            let table = tier.router.table();
+            registry
+                .gauge("membership.epoch", &[])
+                .set(table.epoch() as i64);
+            registry
+                .gauge("membership.workers", &[])
+                .set(table.workers() as i64);
+            if let Some(timeout) = tier.config.health_worker_timeout {
+                registry
+                    .gauge("membership.dead_workers", &[])
+                    .set(liveness.dead_workers(timeout).len() as i64);
+            }
+        }
     }
 
     /// The sampling side of the drain equation over sample queues
@@ -299,6 +375,276 @@ impl SamplingTier {
     /// Stop every sampling worker (idempotent).
     pub fn shutdown(&self) {
         for w in &self.workers {
+            w.shutdown();
+        }
+    }
+}
+
+/// The serving tier: logical serving workers `first..first + n`,
+/// `serving_replicas` replicas each, consuming their `samples-<s>`
+/// queues on one broker. The only place a [`ServingWorker`] is started:
+/// each replica registers its `sew{s}-r{r}` heartbeat and its cache's
+/// byte gauges with the process's memory ledger as it comes up.
+pub struct ServingTier {
+    config: HeliosConfig,
+    query: KHopQuery,
+    broker: Arc<Broker>,
+    liveness: Arc<Liveness>,
+    registry: Arc<Registry>,
+    recorder: Arc<FlightRecorder>,
+    accountant: Arc<MemAccountant>,
+    /// Id of the tier's first logical worker.
+    first: u32,
+    replicas: usize,
+    /// The live fleet, flat: `[sew0-r0, sew0-r1, …, sew1-r0, …]`, index =
+    /// logical * replicas + r. Replaced wholesale (an `Arc` swap) when a
+    /// rescale commits, so every reader — serve paths, probes, the stats
+    /// reporter — grabs a consistent snapshot and never observes a
+    /// half-extended fleet.
+    set: RwLock<Arc<Vec<Arc<ServingWorker>>>>,
+}
+
+impl ServingTier {
+    /// Start serving workers `ids` on `broker`, where their sample
+    /// queues must already exist.
+    pub fn start(
+        config: &HeliosConfig,
+        coordinator: &Coordinator,
+        broker: &Arc<Broker>,
+        plane: &OpsPlane,
+        ids: Range<u32>,
+    ) -> Result<Arc<ServingTier>> {
+        let tier = ServingTier {
+            config: config.clone(),
+            query: coordinator.query().clone(),
+            broker: Arc::clone(broker),
+            liveness: coordinator.liveness(),
+            registry: Arc::clone(plane.registry()),
+            recorder: Arc::clone(plane.recorder()),
+            accountant: Arc::clone(plane.accountant()),
+            first: ids.start,
+            replicas: config.serving_replicas,
+            set: RwLock::default(),
+        };
+        tier.extend_to(ids.len())?;
+        Ok(Arc::new(tier))
+    }
+
+    /// Start replica `r` of serving worker `s` and adopt its cache's byte
+    /// gauges. The block-cache and SST-index cells are shared by the
+    /// replica's two kvstores; the ledger dedups by cell, so adopting
+    /// once per replica is exact.
+    fn start_replica(&self, s: u32, r: u32) -> Result<Arc<ServingWorker>> {
+        let worker = ServingWorker::start(
+            ServingWorkerId(s),
+            r,
+            &self.config,
+            &self.query,
+            &self.broker,
+            self.liveness.register(&format!("sew{s}-r{r}")),
+            &self.registry,
+            &self.recorder,
+        )?;
+        let (sw, rs) = (s.to_string(), r.to_string());
+        let labels: &[(&str, &str)] = &[("worker", &sw), ("replica", &rs)];
+        let g = worker.mem_gauges();
+        for (component, gauge) in [
+            ("sample_table", &g.sample_table),
+            ("feature_table", &g.feature_table),
+            ("block_cache", &g.block_cache),
+            ("sst_index", &g.sst_index),
+            ("serve_scratch", &g.serve_scratch),
+        ] {
+            self.accountant.adopt(component, labels, gauge.clone());
+        }
+        Ok(worker)
+    }
+
+    /// A consistent snapshot of every live replica, flat (see `set`).
+    pub fn workers(&self) -> Arc<Vec<Arc<ServingWorker>>> {
+        Arc::clone(&self.set.read())
+    }
+
+    /// Replicas per logical worker.
+    pub(crate) fn replicas(&self) -> usize {
+        self.replicas
+    }
+
+    /// Number of live logical serving workers.
+    pub(crate) fn logical(&self) -> usize {
+        self.workers().len() / self.replicas
+    }
+
+    /// Grow to `target` logical workers, keeping the ones already up
+    /// (a rescale's scale-out, run before any routing change). Their
+    /// sample queues must exist.
+    pub(crate) fn extend_to(&self, target: usize) -> Result<()> {
+        let mut joined = Vec::new();
+        for s in self.logical()..target {
+            for r in 0..self.replicas as u32 {
+                joined.push(self.start_replica(self.first + s as u32, r)?);
+            }
+        }
+        let mut set = self.set.write();
+        *set = Arc::new(set.iter().cloned().chain(joined).collect());
+        Ok(())
+    }
+
+    /// Shrink to `target` logical workers (a rescale's scale-in, run
+    /// after the commit routes nothing at the rest): drop the rest from
+    /// the set, stop them and end their heartbeat monitoring.
+    pub(crate) fn truncate_to(&self, target: usize) {
+        let removed = {
+            let mut set = self.set.write();
+            let mut workers = set.to_vec();
+            let removed = workers.split_off(target * self.replicas);
+            *set = Arc::new(workers);
+            removed
+        };
+        for w in &removed {
+            w.shutdown();
+            self.liveness
+                .deregister(&format!("sew{}-r{}", w.id().0, w.replica()));
+        }
+    }
+
+    /// The drain equation with this tier's replicas consuming
+    /// `sampling`'s sample queues in process: every replica applies its
+    /// logical worker's whole queue, and malformed records are counted,
+    /// never applied — both tallies drain it.
+    pub(crate) fn watermarks(&self, sampling: &SamplingTier) -> Watermarks {
+        let set = self.workers();
+        let mut w = sampling.watermarks((set.len() / self.replicas) as u32);
+        w.replicas = self.replicas as u64;
+        for s in set.iter() {
+            w.queues[s.id().0 as usize].applied += s.consumed();
+        }
+        w
+    }
+
+    /// A serve host's `StatsOk` entries: sample records applied and
+    /// rejected as undecodable, and requests served, over the tier.
+    pub fn stats_entries(&self) -> Vec<(String, u64)> {
+        let set = self.workers();
+        let sum = |count: fn(&ServingWorker) -> u64| set.iter().map(|w| count(w)).sum();
+        vec![
+            (Watermarks::APPLIED.into(), sum(ServingWorker::applied)),
+            (
+                Watermarks::DECODE_ERRORS.into(),
+                sum(ServingWorker::decode_errors),
+            ),
+            ("served".into(), sum(ServingWorker::served)),
+        ]
+    }
+
+    /// The tier's `/healthz` probe, `kvstore`. Hybrid caches must keep
+    /// their memtables near budget and no store's immutable backlog at
+    /// the stall cap — otherwise the background flusher is not keeping up
+    /// and writers stall next. Purely in-memory caches have no flush
+    /// stage, so the probe only reports their size.
+    pub fn probes(self: &Arc<Self>) -> Vec<HealthProbe> {
+        let tier = Arc::clone(self);
+        let flush_bounded = self.config.cache_dir.is_some();
+        let mem_bound = (self.config.cache_memtable_budget * self.config.cache_shards * 4) as u64;
+        let imm_bound = (self.config.cache_max_immutables * self.config.cache_shards) as u64;
+        vec![Box::new(move || {
+            let set = tier.workers();
+            let mut mem = 0u64;
+            let mut worst_imm = 0u64;
+            for w in set.iter() {
+                let (s, f) = w.cache_stats();
+                mem += s.mem_bytes as u64 + f.mem_bytes as u64;
+                worst_imm = worst_imm
+                    .max(s.immutable_memtables as u64)
+                    .max(f.immutable_memtables as u64);
+            }
+            if flush_bounded {
+                let healthy = mem <= mem_bound * set.len() as u64 && worst_imm < imm_bound;
+                HealthReport::new(
+                    "kvstore",
+                    healthy,
+                    format!(
+                        "memtable bytes {mem} (bound {mem_bound}/worker), \
+                         worst immutable backlog {worst_imm} (stall cap {imm_bound})"
+                    ),
+                )
+            } else {
+                HealthReport::new("kvstore", true, format!("in-memory, {mem} bytes"))
+            }
+        })]
+    }
+
+    /// The tier's share of a stats tick: `kvstore.*{worker,replica,table}`
+    /// (cache memtable/SST sizes and activity) per replica, and a
+    /// `DecodeError` anomaly — a flight-ring dump — when at least
+    /// `decode_error_spike` sample records failed to decode since the
+    /// last tick: something upstream is emitting garbage.
+    pub fn stats_tick(self: &Arc<Self>) -> impl FnMut() + Send + 'static {
+        let tier = Arc::clone(self);
+        let spike = self.config.decode_error_spike;
+        let mut last_decode = 0u64;
+        move || {
+            let registry = &tier.registry;
+            let mut decode = 0u64;
+            for w in tier.workers().iter() {
+                decode += w.decode_errors();
+                let sw = w.id().0.to_string();
+                let r = w.replica().to_string();
+                let (s, f) = w.cache_stats();
+                for (table, st) in [("samples", s), ("features", f)] {
+                    let labels: &[(&str, &str)] =
+                        &[("worker", &sw), ("replica", &r), ("table", table)];
+                    registry
+                        .gauge("kvstore.mem_bytes", labels)
+                        .set(st.mem_bytes as i64);
+                    registry
+                        .gauge("kvstore.mem_entries", labels)
+                        .set(st.mem_entries as i64);
+                    registry
+                        .gauge("kvstore.immutable_memtables", labels)
+                        .set(st.immutable_memtables as i64);
+                    registry
+                        .gauge("kvstore.sst_files", labels)
+                        .set(st.sst_files as i64);
+                    registry
+                        .gauge("kvstore.disk_bytes", labels)
+                        .set(st.disk_bytes as i64);
+                    registry
+                        .gauge("kvstore.flushes", labels)
+                        .set(st.flushes as i64);
+                    registry
+                        .gauge("kvstore.compactions", labels)
+                        .set(st.compactions as i64);
+                    registry
+                        .gauge("kvstore.compaction_debt", labels)
+                        .set(st.compaction_debt as i64);
+                    registry
+                        .gauge("kvstore.block_cache_hits", labels)
+                        .set(st.block_cache_hits as i64);
+                    registry
+                        .gauge("kvstore.block_cache_misses", labels)
+                        .set(st.block_cache_misses as i64);
+                    registry
+                        .gauge("kvstore.stall_nanos", labels)
+                        .set(st.stall_nanos as i64);
+                }
+            }
+            if decode.saturating_sub(last_decode) >= spike {
+                tier.recorder.anomaly(
+                    EventKind::DecodeError,
+                    u32::MAX,
+                    decode - last_decode,
+                    decode,
+                    0,
+                );
+            }
+            last_decode = decode;
+        }
+    }
+
+    /// Stop every replica's updater threads; caches stay readable.
+    pub fn shutdown(&self) {
+        for w in self.workers().iter() {
             w.shutdown();
         }
     }

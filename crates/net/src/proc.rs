@@ -18,11 +18,13 @@
 //!   seen in process — a redelivered batch lands once — and serve replies
 //!   are byte-identical to the in-process transport on the same stream.
 //!
-//! The sampling host is the same [`SamplingTier`] `HeliosDeployment`
-//! runs in process. Both hosts expose the drain numbers (`StatsOk`) a
-//! coordinator needs to decide "all ingested data has been applied":
-//! [`Watermarks::from_stats`] joins them into the one drain equation
-//! `HeliosDeployment::quiesce` reads.
+//! Both hosts are built from the pieces `HeliosDeployment` runs in
+//! process: an [`OpsPlane`] (registry, flight recorder, memory ledger,
+//! traces, profiler, ops server and stats reporter) plus the
+//! [`SamplingTier`] or a [`ServingTier`] of one worker. Both expose the
+//! drain numbers (`StatsOk`) a coordinator needs to decide "all ingested
+//! data has been applied": `Watermarks::from_stats` joins them into the
+//! one drain equation `HeliosDeployment::quiesce` reads.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,13 +32,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use helios_core::plane::mq_probe;
 use helios_core::sampler::topics;
-use helios_core::{Coordinator, HeliosConfig, SamplingTier, ServingWorker, Watermarks};
+use helios_core::{Coordinator, HeliosConfig, OpsPlane, SamplingTier, ServingTier, ServingWorker};
 use helios_mq::{Broker, Topic, TopicConfig};
 use helios_query::KHopQuery;
 use helios_telemetry::registry::Registry;
-use helios_telemetry::{FlightRecorder, HealthReport, OpsServer, OpsState, TraceCtx};
-use helios_types::{HeliosError, PartitionId, Result, ServingWorkerId, VertexId};
+use helios_telemetry::TraceCtx;
+use helios_types::{HeliosError, PartitionId, Result, VertexId};
 use parking_lot::Mutex;
 
 use crate::server::{NetServer, NetService};
@@ -53,10 +56,9 @@ pub struct ServeHostConfig {
     pub sew: u32,
     /// Wire listen address (`127.0.0.1:0` for ephemeral).
     pub listen: String,
-    /// Ops/metrics HTTP address; `None` disables it.
-    pub ops_addr: Option<String>,
     /// The deployment-wide config — must be identical on every process
-    /// (partition counts and route slots are topology-defining).
+    /// (partition counts and route slots are topology-defining). Its
+    /// `ops_addr` and `stats_interval` apply to this process.
     pub config: HeliosConfig,
     /// The query every process compiles.
     pub query: KHopQuery,
@@ -64,7 +66,9 @@ pub struct ServeHostConfig {
 
 struct ServeHostService {
     sew: u32,
+    /// The tier's one worker, held directly so a serve takes no lock.
     worker: Arc<ServingWorker>,
+    serving: Arc<ServingTier>,
     topic: Arc<Topic>,
     /// Serializes `Produce` handling: the offset check and the append
     /// must not interleave with a redelivery arriving on another
@@ -153,14 +157,7 @@ impl NetService for ServeHostService {
                 ),
             },
             Payload::StatsReq => Payload::StatsOk {
-                entries: vec![
-                    (Watermarks::APPLIED.into(), self.worker.applied()),
-                    (
-                        Watermarks::DECODE_ERRORS.into(),
-                        self.worker.decode_errors(),
-                    ),
-                    ("served".into(), self.worker.served()),
-                ],
+                entries: self.serving.stats_entries(),
             },
             other => Payload::Error {
                 code: ErrCode::NotFound,
@@ -170,72 +167,67 @@ impl NetService for ServeHostService {
     }
 }
 
-/// A serving-worker process: one unmodified [`ServingWorker`] behind a
-/// [`NetServer`].
+/// A serving-worker process: an ops plane, a local `samples-<sew>`
+/// queue and a [`ServingTier`] of one worker behind a [`NetServer`].
 pub struct ServeHost {
     addr: SocketAddr,
-    ops_addr: Option<SocketAddr>,
     server: Option<NetServer>,
+    plane: OpsPlane,
+    serving: Arc<ServingTier>,
     worker: Arc<ServingWorker>,
-    registry: Arc<Registry>,
-    _ops: Option<OpsServer>,
 }
 
 impl ServeHost {
-    /// Start the host: local sample topic, serving worker, wire server.
+    /// Start the host: ops plane, local sample queue, serving tier, wire
+    /// server.
     pub fn start(host: ServeHostConfig) -> Result<ServeHost> {
-        let registry = Arc::new(Registry::new());
-        let recorder = FlightRecorder::new(host.config.flight_recorder_capacity);
+        // A deployed worker's replicas would be separate processes: each
+        // process runs exactly one.
+        let config = HeliosConfig {
+            serving_replicas: 1,
+            ..host.config
+        };
+        let mut plane = OpsPlane::new(&config);
         let broker = Broker::new();
         let topic = broker.create_topic(
             &topics::samples(host.sew),
-            TopicConfig::in_memory(host.config.sample_queue_partitions),
+            TopicConfig {
+                partitions: config.sample_queue_partitions,
+                mem: plane.accountant().register("mq_log", &[]),
+                ..Default::default()
+            },
         )?;
-        let coordinator = Coordinator::new(host.query.clone());
-        let beacon = coordinator.register_worker(&format!("sew{}-r0", host.sew));
-        let worker = ServingWorker::start(
-            ServingWorkerId(host.sew),
-            0,
-            &host.config,
-            &host.query,
+        let coordinator = Coordinator::new(host.query);
+        let serving = ServingTier::start(
+            &config,
+            &coordinator,
             &broker,
-            beacon,
-            &registry,
-            &recorder,
+            &plane,
+            host.sew..host.sew + 1,
         )?;
+        let worker = Arc::clone(&serving.workers()[0]);
+
+        plane.start_reporter(serving.stats_tick());
+        let mut probes = vec![mq_probe(&broker, config.health_max_lag)];
+        probes.extend(serving.probes());
+        plane.start_ops_server(probes)?;
+
         let service = Arc::new(ServeHostService {
             sew: host.sew,
             worker: Arc::clone(&worker),
+            serving: Arc::clone(&serving),
             topic,
             produce_lock: Mutex::new(()),
         });
-        let net = NetMetrics::new(&registry, "worker");
-        let server = NetServer::start(&host.listen, service, net, Some(Arc::clone(&recorder)))?;
-        let ops = match &host.ops_addr {
-            Some(addr) => {
-                let snap = Arc::clone(&registry);
-                let probe_worker = Arc::clone(&worker);
-                let sew = host.sew;
-                let state = OpsState::new(move || snap.snapshot())
-                    .probe(move || {
-                        HealthReport::new(
-                            format!("serve-worker-{sew}"),
-                            true,
-                            format!("applied {}", probe_worker.applied()),
-                        )
-                    })
-                    .recorder(Arc::clone(&recorder));
-                Some(OpsServer::start(addr, state)?)
-            }
-            None => None,
-        };
+        let net = NetMetrics::new(plane.registry(), "worker");
+        let recorder = Some(Arc::clone(plane.recorder()));
+        let server = NetServer::start(&host.listen, service, net, recorder)?;
         Ok(ServeHost {
             addr: server.addr(),
-            ops_addr: ops.as_ref().map(|o| o.addr()),
             server: Some(server),
+            plane,
+            serving,
             worker,
-            registry,
-            _ops: ops,
         })
     }
 
@@ -246,12 +238,12 @@ impl ServeHost {
 
     /// The ops address, when an ops server was started.
     pub fn ops_addr(&self) -> Option<SocketAddr> {
-        self.ops_addr
+        self.plane.ops_addr()
     }
 
     /// This process's metrics registry.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        self.plane.registry()
     }
 
     /// The hosted worker (tests assert on its counters).
@@ -259,12 +251,13 @@ impl ServeHost {
         &self.worker
     }
 
-    /// Stop the wire server, then the worker.
+    /// Stop the wire server and the ops plane, then the worker.
     pub fn shutdown(mut self) {
         if let Some(server) = self.server.take() {
             server.shutdown();
         }
-        self.worker.shutdown();
+        self.plane.shutdown();
+        self.serving.shutdown();
     }
 }
 
@@ -272,9 +265,8 @@ impl ServeHost {
 pub struct SamplingHostConfig {
     /// Wire listen address for ingest/stats traffic.
     pub listen: String,
-    /// Ops/metrics HTTP address; `None` disables it.
-    pub ops_addr: Option<String>,
-    /// The deployment-wide config (same instance everywhere).
+    /// The deployment-wide config (same instance everywhere). Its
+    /// `ops_addr` and `stats_interval` apply to this process.
     pub config: HeliosConfig,
     /// The query every process compiles.
     pub query: KHopQuery,
@@ -330,21 +322,19 @@ impl NetService for SamplingHostService {
     }
 }
 
-/// A sampling process: the [`SamplingTier`] plus one relay per serving
-/// worker shipping `samples-<s>` over TCP.
+/// A sampling process: an ops plane and the [`SamplingTier`], plus one
+/// relay per serving worker shipping `samples-<s>` over TCP.
 pub struct SamplingHost {
     addr: SocketAddr,
-    ops_addr: Option<SocketAddr>,
     server: Option<NetServer>,
+    plane: OpsPlane,
     tier: Arc<SamplingTier>,
     relays: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
-    registry: Arc<Registry>,
-    _ops: Option<OpsServer>,
 }
 
 impl SamplingHost {
-    /// Start the host: the sampling tier, relays, wire server.
+    /// Start the host: ops plane, sampling tier, relays, wire server.
     pub fn start(host: SamplingHostConfig) -> Result<SamplingHost> {
         let config = host.config;
         if host.serve_workers.len() != config.serving_workers {
@@ -354,19 +344,20 @@ impl SamplingHost {
                 config.serving_workers
             )));
         }
-        let registry = Arc::new(Registry::new());
-        let recorder = FlightRecorder::new(config.flight_recorder_capacity);
+        let mut plane = OpsPlane::new(&config);
         let mut tier = SamplingTier::create(&config)?;
         let coordinator = Coordinator::new(host.query.clone());
-        tier.start_workers(&host.query, &coordinator, &registry, &recorder, None)?;
+        tier.start_workers(&host.query, &coordinator, &plane, None)?;
         let tier = Arc::new(tier);
+        plane.start_reporter(tier.stats_tick(&plane, &coordinator));
+        plane.start_ops_server(tier.probes())?;
         let forwarded: Arc<Vec<AtomicU64>> = Arc::new(
             host.serve_workers
                 .iter()
                 .map(|_| AtomicU64::new(0))
                 .collect(),
         );
-        let net = NetMetrics::new(&registry, "relay");
+        let net = NetMetrics::new(plane.registry(), "relay");
         let stop = Arc::new(AtomicBool::new(false));
         let mut relays = Vec::with_capacity(host.serve_workers.len());
         for (s, addr) in host.serve_workers.iter().enumerate() {
@@ -406,39 +397,20 @@ impl SamplingHost {
             tier: Arc::clone(&tier),
             forwarded,
         });
-        let net_server = NetMetrics::new(&registry, "worker");
+        let net_server = NetMetrics::new(plane.registry(), "worker");
         let server = NetServer::start(
             &host.listen,
             service,
             net_server,
-            Some(Arc::clone(&recorder)),
+            Some(Arc::clone(plane.recorder())),
         )?;
-        let ops = match &host.ops_addr {
-            Some(addr) => {
-                let snap = Arc::clone(&registry);
-                let probe_tier = Arc::clone(&tier);
-                let state = OpsState::new(move || snap.snapshot())
-                    .probe(move || {
-                        HealthReport::new(
-                            "sampling-host",
-                            true,
-                            format!("backlog {}", probe_tier.backlog()),
-                        )
-                    })
-                    .recorder(Arc::clone(&recorder));
-                Some(OpsServer::start(addr, state)?)
-            }
-            None => None,
-        };
         Ok(SamplingHost {
             addr: server.addr(),
-            ops_addr: ops.as_ref().map(|o| o.addr()),
             server: Some(server),
+            plane,
             tier,
             relays,
             stop,
-            registry,
-            _ops: ops,
         })
     }
 
@@ -449,15 +421,16 @@ impl SamplingHost {
 
     /// The ops address, when an ops server was started.
     pub fn ops_addr(&self) -> Option<SocketAddr> {
-        self.ops_addr
+        self.plane.ops_addr()
     }
 
     /// This process's metrics registry.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        self.plane.registry()
     }
 
-    /// Stop relays (after they drain), the wire server, then the tier.
+    /// Stop relays (after they drain), the wire server and the ops
+    /// plane, then the tier.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for relay in self.relays.drain(..) {
@@ -466,6 +439,7 @@ impl SamplingHost {
         if let Some(server) = self.server.take() {
             server.shutdown();
         }
+        self.plane.shutdown();
         self.tier.shutdown();
     }
 }

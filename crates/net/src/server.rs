@@ -22,6 +22,7 @@ use std::time::Duration;
 
 use bytes::BytesMut;
 use helios_telemetry::{EventKind, FlightRecorder};
+use helios_types::profile::register_thread;
 use helios_types::{HeliosError, Result, VertexId};
 use parking_lot::Mutex;
 
@@ -87,6 +88,9 @@ impl NetServer {
                                 let _ = std::thread::Builder::new()
                                     .name(format!("net-conn-{peer}"))
                                     .spawn(move || {
+                                        // Serves run here: registered, their
+                                        // stages show up in `/profile`.
+                                        let _profiled = register_thread(format!("net-conn-{peer}"));
                                         metrics.connection_delta(1);
                                         let _ =
                                             handle_connection(stream, &service, &metrics, recorder);

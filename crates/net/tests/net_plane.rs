@@ -267,7 +267,6 @@ fn serve_host() -> ServeHost {
     ServeHost::start(ServeHostConfig {
         sew: 0,
         listen: "127.0.0.1:0".into(),
-        ops_addr: None,
         config: HeliosConfig::with_workers(1, 1),
         query,
     })

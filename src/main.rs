@@ -121,16 +121,13 @@ impl Flags {
     fn listen(&self) -> String {
         self.get("listen").unwrap_or("127.0.0.1:0").to_string()
     }
-
-    fn ops_addr(&self) -> Option<String> {
-        self.get("ops-addr").map(str::to_string)
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Shared topology: every process derives the same config and query.
 
-/// The deployment config and the query every process compiles.
+/// The deployment config and the query every process compiles, with
+/// this process's `--ops-addr` (if any) in `HeliosConfig::ops_addr`.
 fn topology(flags: &Flags) -> (HeliosConfig, KHopQuery) {
     let preset = match flags.get("preset").unwrap_or("inter") {
         "bi" => Preset::Bi,
@@ -150,7 +147,11 @@ fn topology(flags: &Flags) -> (HeliosConfig, KHopQuery) {
     let query = preset
         .dataset(flags.parse_or("scale", 0.015f64))
         .table2_query(strategy, flags.has("three-hop"));
-    (HeliosConfig::with_workers(sampling, serving), query)
+    let config = HeliosConfig {
+        ops_addr: flags.get("ops-addr").map(str::to_string),
+        ..HeliosConfig::with_workers(sampling, serving)
+    };
+    (config, query)
 }
 
 // ---------------------------------------------------------------------------
@@ -173,7 +174,6 @@ fn cmd_serve_worker(flags: &Flags) {
     let host = ServeHost::start(ServeHostConfig {
         sew: flags.parse_or("sew", 0u32),
         listen: flags.listen(),
-        ops_addr: flags.ops_addr(),
         config,
         query,
     })
@@ -192,7 +192,6 @@ fn cmd_sampling_worker(flags: &Flags) {
         .collect();
     let host = SamplingHost::start(SamplingHostConfig {
         listen: flags.listen(),
-        ops_addr: flags.ops_addr(),
         config,
         query,
         serve_workers,
@@ -217,7 +216,7 @@ fn cmd_gateway(flags: &Flags) {
         admission: flags.parse_or("admission", 256usize),
         route_slots: flags.parse_or("route-slots", config.route_slots as usize),
         probe_timeout: Duration::from_millis(flags.parse_or("probe-timeout-ms", 500u64)),
-        ops_addr: flags.ops_addr(),
+        ops_addr: config.ops_addr,
     })
     .unwrap_or_else(|e| die(&format!("gateway failed to start: {e}")));
     announce_and_wait(gateway.addr(), gateway.ops_addr());

@@ -2,7 +2,8 @@
 //! worker as real OS processes, driven over loopback TCP through the
 //! client SDK. Ingests a small dataset, checks 64 seeds' replies byte for
 //! byte against an in-process `HeliosDeployment` fed the same events,
-//! serves 1k requests, then kills a serving worker and asserts the
+//! serves 1k requests, checks every worker's ops plane (memory ledger,
+//! health probes, profiler), then kills a serving worker and asserts the
 //! gateway degrades by shedding/erroring promptly — never by hanging —
 //! and that /healthz turns 503 naming the dead worker.
 //!
@@ -11,6 +12,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use helios_core::{HeliosConfig, HeliosDeployment, Watermarks};
@@ -107,17 +109,48 @@ fn http_get(addr: &str, path: &str) -> String {
     response
 }
 
+/// `mem.bytes{component=<component>}` summed over a `/metrics` body, or
+/// `None` when the component is not exported.
+fn mem_bytes(metrics: &str, component: &str) -> Option<f64> {
+    let label = format!("component=\"{component}\"");
+    let values: Vec<f64> = metrics
+        .lines()
+        .filter(|l| l.starts_with("mem_bytes{") && l.contains(&label))
+        .filter_map(|l| l.rsplit(' ').next()?.parse().ok())
+        .collect();
+    (!values.is_empty()).then(|| values.iter().sum())
+}
+
+/// The components a `/healthz` body names.
+fn probed(healthz: &str) -> Vec<String> {
+    healthz
+        .split("\"component\":\"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .map(str::to_string)
+        .collect()
+}
+
 #[test]
 fn multiprocess_deployment_serves_and_sheds_on_worker_death() {
     let overall = Instant::now();
-    // Topology: two serving workers, one sampling worker, one gateway.
-    let worker0 = spawn_role(vec!["serve-worker".into(), "--sew".into(), "0".into()]);
-    let worker1 = spawn_role(vec!["serve-worker".into(), "--sew".into(), "1".into()]);
-    let sampling = spawn_role(vec![
-        "sampling-worker".into(),
+    // Topology: two serving workers, one sampling worker, one gateway;
+    // every role runs its ops plane on an ephemeral port.
+    let ops = || ["--ops-addr".to_string(), "127.0.0.1:0".to_string()];
+    let serve_worker = |sew: &str| {
+        let mut args = vec!["serve-worker".to_string(), "--sew".into(), sew.into()];
+        args.extend(ops());
+        spawn_role(args)
+    };
+    let worker0 = serve_worker("0");
+    let worker1 = serve_worker("1");
+    let mut args = vec![
+        "sampling-worker".to_string(),
         "--serve-workers".into(),
         format!("{},{}", worker0.addr, worker1.addr),
-    ]);
+    ];
+    args.extend(ops());
+    let sampling = spawn_role(args);
     let gateway = spawn_role(vec![
         "gateway".into(),
         "--workers".into(),
@@ -210,6 +243,83 @@ fn multiprocess_deployment_serves_and_sheds_on_worker_death() {
         healthz.starts_with("HTTP/1.1 200"),
         "healthy deployment reported: {}",
         healthz.lines().next().unwrap_or("")
+    );
+
+    // Every serve worker exports its memory ledger — caches, the serving
+    // threads' scratch and its local sample queue — once a stats tick has
+    // run since the serves above.
+    for worker in [&worker0, &worker1] {
+        let ops = worker
+            .ops
+            .as_ref()
+            .expect("serve worker announced its ops address");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let metrics = loop {
+            let metrics = http_get(ops, "/metrics");
+            let ready = ["serve_scratch", "mq_log"]
+                .iter()
+                .all(|c| mem_bytes(&metrics, c).is_some_and(|b| b > 0.0));
+            if ready || Instant::now() > deadline {
+                break metrics;
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        };
+        for component in [
+            "sample_table",
+            "feature_table",
+            "block_cache",
+            "serve_scratch",
+            "mq_log",
+        ] {
+            assert!(
+                mem_bytes(&metrics, component).is_some(),
+                "serve worker at {ops} exports no mem.bytes for {component}"
+            );
+        }
+        for component in ["serve_scratch", "mq_log"] {
+            assert!(
+                mem_bytes(&metrics, component).unwrap() > 0.0,
+                "serve worker at {ops}: mem.bytes{{component={component}}} is 0"
+            );
+        }
+        // Which probes run, not whether they pass: the suite also runs
+        // under a deliberately tiny memory budget.
+        let components = probed(&http_get(ops, "/healthz"));
+        for probe in ["memory", "kvstore", "mq"] {
+            assert!(
+                components.iter().any(|c| c == probe),
+                "serve worker /healthz lacks the {probe} probe: {components:?}"
+            );
+        }
+    }
+    let components = probed(&http_get(sampling.ops.as_ref().unwrap(), "/healthz"));
+    for probe in ["memory", "mq", "sampler"] {
+        assert!(
+            components.iter().any(|c| c == probe),
+            "sampling worker /healthz lacks the {probe} probe: {components:?}"
+        );
+    }
+
+    // A serve worker's profile, taken while a client streams serves,
+    // shows the serve stages on its connection threads.
+    let streaming = AtomicBool::new(true);
+    let profile = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut i = 0usize;
+            while streaming.load(Ordering::Relaxed) {
+                let _ = client.serve(seeds[(i * 31) % seeds.len()]);
+                i += 1;
+            }
+        });
+        let profile = http_get(worker0.ops.as_ref().unwrap(), "/profile?seconds=1");
+        streaming.store(false, Ordering::Relaxed);
+        profile
+    });
+    assert!(
+        profile
+            .lines()
+            .any(|l| l.starts_with("net-conn-") && l.contains(";serve")),
+        "no serve stage on a connection thread in the profile:\n{profile}"
     );
 
     // Kill worker 0 the hard way and keep serving: every request must
