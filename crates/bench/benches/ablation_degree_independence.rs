@@ -10,8 +10,8 @@
 
 use helios_core::{HeliosConfig, HeliosDeployment};
 use helios_graphdb::{GraphDb, GraphDbConfig};
-use helios_metrics::Histogram;
 use helios_query::{KHopQuery, SamplingStrategy};
+use helios_telemetry::Histogram;
 use helios_types::{
     EdgeType, EdgeUpdate, GraphUpdate, Timestamp, VertexId, VertexType, VertexUpdate,
 };
@@ -109,7 +109,7 @@ fn main() {
     let db = GraphDb::new(GraphDbConfig::single_node());
     db.ingest_batch(&updates).unwrap();
 
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         format!("Ablation: serving cost vs seed degree ({cold} vs {hot} neighbors)"),
         &[
             "system",

@@ -10,10 +10,10 @@
 
 use helios_bench::{nebulagraph_like, percent_seeds, setup_baseline, tigergraph_like};
 use helios_gnn::SageModel;
+use helios_graphdb::netsim::NetworkConfig;
 use helios_graphdb::GraphDbConfig;
-use helios_metrics::{Histogram, Table};
-use helios_netsim::NetworkConfig;
 use helios_query::SamplingStrategy;
+use helios_telemetry::{Histogram, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};

@@ -46,7 +46,7 @@ fn main() {
     } else {
         &[Preset::Bi, Preset::Inter, Preset::Fin]
     };
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         format!("Fig. 9: serving throughput (QPS), scale {scale}"),
         &[
             "Dataset",
@@ -105,7 +105,7 @@ fn main() {
     // Multicore extension: Helios-only cores sweep, serving threads
     // pinned and tracking cores.
     let cores = available_cores();
-    let mut m = helios_metrics::Table::new(
+    let mut m = helios_telemetry::Table::new(
         format!(
             "Fig. 9 (multicore): Helios serving vs cores (INTER Random, pinned, host has {cores} core(s))"
         ),

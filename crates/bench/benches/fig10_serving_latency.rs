@@ -15,7 +15,7 @@ const SCALE: f64 = 0.03;
 const WINDOW: Duration = Duration::from_secs(2);
 
 fn main() {
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         format!("Fig. 10: serving latency vs concurrency (INTER & FIN, scale {SCALE})"),
         &[
             "Dataset",

@@ -28,7 +28,7 @@ fn helios_ingest_rate(preset: Preset, strategy: SamplingStrategy) -> (f64, u64) 
 }
 
 fn main() {
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         format!("Fig. 11: update ingestion throughput (records/s), scale {SCALE}"),
         &[
             "Dataset",

@@ -31,7 +31,7 @@ fn main() {
         .cloned()
         .collect();
 
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         "Fig. 12: serving stability under concurrent ingestion (INTER, concurrency 16)",
         &[
             "ingest rate (rec/s)",

@@ -16,7 +16,8 @@
 
 use bytes::BytesMut;
 use helios_core::{
-    messages::SampleEntryLite, to_reservoir_strategy, HeliosConfig, HeliosDeployment,
+    actor::shard_hash, messages::SampleEntryLite, to_reservoir_strategy, HeliosConfig,
+    HeliosDeployment,
 };
 use helios_datagen::{Dataset, DatasetConfig, EdgeSpec, Preset, VertexSpec};
 use helios_query::SamplingStrategy;
@@ -138,15 +139,6 @@ fn simulate(
     events.len() as f64 / critical.max(1e-9)
 }
 
-// Mirror of helios-actor's shard hash (SplitMix64 finalizer, decorrelated
-// from the worker-routing hash).
-fn shard_hash(key: u64) -> u64 {
-    let mut x = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 fn main() {
     let dataset = inter_balanced();
     let events: Vec<GraphUpdate> = dataset.events().collect();
@@ -156,7 +148,7 @@ fn main() {
         events.iter().filter(|e| e.is_edge()).count()
     );
 
-    let mut a = helios_metrics::Table::new(
+    let mut a = helios_telemetry::Table::new(
         "Fig. 13(a): pre-sampling scale-up (1 worker, varying sampling threads, INTER)",
         &["Strategy", "threads", "simulated-parallel rec/s", "scaling"],
     );
@@ -175,7 +167,7 @@ fn main() {
     }
     a.print();
 
-    let mut b = helios_metrics::Table::new(
+    let mut b = helios_telemetry::Table::new(
         "Fig. 13(b): pre-sampling scale-out (4 threads/worker, varying workers, INTER)",
         &["Strategy", "workers", "simulated-parallel rec/s", "scaling"],
     );

@@ -64,7 +64,7 @@ fn row(label: Vec<String>, out: &BenchOutcome) -> Vec<String> {
 
 fn main() {
     let threads_sweep: &[usize] = if quick() { &[2, 4] } else { &[2, 4, 8, 16] };
-    let mut a = helios_metrics::Table::new(
+    let mut a = helios_telemetry::Table::new(
         "Fig. 14(a): serving scale-up (2 serving workers, varying serving threads, INTER Random)",
         &["threads", "QPS", "avg (ms)", "P99 (ms)"],
     );
@@ -75,7 +75,7 @@ fn main() {
 
     let workers_sweep: &[usize] = if quick() { &[1, 2] } else { &[1, 2, 4] };
     let threads = if quick() { 4 } else { 8 };
-    let mut b = helios_metrics::Table::new(
+    let mut b = helios_telemetry::Table::new(
         format!(
             "Fig. 14(b): serving scale-out ({threads} serving threads, varying serving workers)"
         ),
@@ -90,7 +90,7 @@ fn main() {
     b.print();
 
     let cores = available_cores();
-    let mut c = helios_metrics::Table::new(
+    let mut c = helios_telemetry::Table::new(
         format!(
             "Fig. 14(c): multicore sweep (1 serving worker, threads pinned, host has {cores} core(s))"
         ),

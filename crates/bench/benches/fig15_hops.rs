@@ -13,7 +13,7 @@ const SCALE: f64 = 0.03;
 const WINDOW: Duration = Duration::from_secs(2);
 
 fn main() {
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         format!("Fig. 15: 2-hop vs 3-hop serving (INTER, Random, scale {SCALE})"),
         &[
             "hops",

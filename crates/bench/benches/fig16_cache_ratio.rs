@@ -16,7 +16,7 @@ fn main() {
     let dataset = Preset::Inter.dataset(SCALE);
     let dataset_bytes: u64 = dataset.events().map(|e| e.wire_size() as u64).sum();
 
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         format!("Fig. 16: cache ratio per serving worker (INTER, hybrid cache, scale {SCALE})"),
         &[
             "serving workers",

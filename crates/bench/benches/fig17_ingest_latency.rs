@@ -6,15 +6,15 @@
 
 use helios_core::{HeliosConfig, HeliosDeployment};
 use helios_datagen::Preset;
-use helios_metrics::Snapshot;
 use helios_query::SamplingStrategy;
+use helios_telemetry::Snapshot;
 use helios_types::GraphUpdate;
 use std::time::Duration;
 
 const SCALE: f64 = 0.02;
 
 fn main() {
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         format!("Fig. 17: ingestion latency under streaming load (scale {SCALE})"),
         &["Dataset", "events", "avg (ms)", "P99 (ms)", "max (ms)"],
     );

@@ -216,7 +216,7 @@ fn main() {
 
     // Test at the end of the stream: does the model rank an item from the
     // user's *current* cluster above one from a random other cluster?
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         "Fig. 18: inference accuracy vs ingestion delay (planted-drift Taobao-like)",
         &["delay (event-ticks)", "AUC", "balanced accuracy"],
     );

@@ -31,7 +31,7 @@ fn main() {
     );
     let server = ModelServer::new(model);
 
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         format!("Fig. 19: end-to-end online GNN inference (INTER, scale {SCALE})"),
         &["concurrency", "QPS", "avg (ms)", "P99 (ms)"],
     );

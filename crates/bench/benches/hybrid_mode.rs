@@ -73,7 +73,7 @@ fn run_mode(preset: Preset, dir: Option<std::path::PathBuf>) -> ModeOutcome {
 }
 
 fn main() {
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         format!(
             "Hybrid-cache before/after (scale {SCALE}, conc {CONCURRENCY}): \
              in-memory vs memory+disk serving caches"

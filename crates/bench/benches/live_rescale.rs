@@ -85,7 +85,7 @@ fn main() {
         .iter()
         .filter(|e| e.kind == EventKind::EpochBump)
         .count();
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         "Dynamic rescale: serve latency under continuous 2→4→2 handoffs (INTER Random, conc. 32)",
         &["window", "QPS", "avg (ms)", "P99 (ms)"],
     );

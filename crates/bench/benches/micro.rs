@@ -173,7 +173,7 @@ fn bench_kvstore_hybrid(c: &mut Criterion) {
     // Manual p99s (the acceptance comparison): the during-flush tail must
     // stay within 2× of the no-flush baseline.
     let measure = |n: usize| {
-        let h = helios_metrics::Histogram::new();
+        let h = helios_telemetry::Histogram::new();
         for _ in 0..n {
             let t = std::time::Instant::now();
             let _ = kv.multi_get(&keys).unwrap();

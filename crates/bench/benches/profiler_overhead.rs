@@ -76,7 +76,7 @@ fn main() {
         out
     });
 
-    let mut t = helios_metrics::Table::new(
+    let mut t = helios_telemetry::Table::new(
         format!("Profiler overhead (INTER Random, conc {conc}, scale {scale})"),
         &["Mode", "QPS", "P50 (ms)", "P99 (ms)", "P99 vs off"],
     );

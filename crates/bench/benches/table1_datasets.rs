@@ -5,7 +5,7 @@
 //! scale controlled by `HELIOS_BENCH_SCALE` (default 0.05).
 
 use helios_datagen::{compute_stats, Preset};
-use helios_metrics::Table;
+use helios_telemetry::Table;
 
 fn scale() -> f64 {
     std::env::var("HELIOS_BENCH_SCALE")

@@ -2,8 +2,8 @@
 //! with the coordinator (pattern, hop count, fan-outs, lookup bounds).
 
 use helios_datagen::Preset;
-use helios_metrics::Table;
 use helios_query::SamplingStrategy;
+use helios_telemetry::Table;
 
 fn main() {
     let mut t = Table::new(

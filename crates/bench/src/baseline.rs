@@ -1,8 +1,8 @@
 //! Baseline (graph database) setup for paired experiments.
 
 use helios_datagen::{Dataset, Preset};
+use helios_graphdb::netsim::NetworkConfig;
 use helios_graphdb::{GraphDb, GraphDbConfig};
-use helios_netsim::NetworkConfig;
 use helios_query::{KHopQuery, SamplingStrategy};
 use helios_types::GraphUpdate;
 use std::time::Duration;

@@ -3,8 +3,8 @@
 
 use helios_core::{HeliosConfig, HeliosDeployment};
 use helios_datagen::{Dataset, Preset};
-use helios_metrics::Histogram;
 use helios_query::{KHopQuery, SamplingStrategy};
+use helios_telemetry::Histogram;
 use helios_types::{GraphUpdate, VertexId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

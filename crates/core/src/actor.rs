@@ -1,5 +1,3 @@
-//! # helios-actor
-//!
 //! A minimal actor runtime over OS threads and crossbeam channels — the
 //! reproduction of the "distributed actor-based framework" the paper's
 //! workers are built on (§4.2/§4.3: polling threads, sampling threads,
@@ -130,7 +128,7 @@ impl<M: Send + 'static> ShardedPool<M> {
 
     /// Route a message by key hash.
     pub fn send(&self, key: u64, msg: M) -> bool {
-        let idx = (helios_shard_hash(key) % self.handles.len() as u64) as usize;
+        let idx = (shard_hash(key) % self.handles.len() as u64) as usize;
         self.handles[idx].send(msg)
     }
 
@@ -152,8 +150,9 @@ impl<M: Send + 'static> ShardedPool<M> {
     }
 }
 
+/// The shard a [`ShardedPool`] routes `key` to is `shard_hash(key) % n`.
 #[inline]
-fn helios_shard_hash(key: u64) -> u64 {
+pub fn shard_hash(key: u64) -> u64 {
     // Deliberately a *different* mix than helios-types::fx_hash_u64: the
     // deployment routes vertices to workers with that hash, so keys
     // arriving at one worker satisfy `fx_hash(v) ≡ w (mod M)`. Re-using
@@ -410,23 +409,13 @@ mod hash_tests {
     /// behind a 2-worker router.
     #[test]
     fn shard_hash_decorrelated_from_fx_routing() {
-        // Reproduce fx_hash_u64 here (helios-actor is dependency-free).
-        let fx = |v: u64| {
-            let mut h: u64 = 0;
-            h = (h.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-            let mut x = h;
-            x ^= x >> 33;
-            x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-            x ^= x >> 33;
-            x
-        };
         let workers = 2u64;
         let shards = 4u64;
         // Keys landing on worker 0:
         let mut shard_counts = vec![0u32; shards as usize];
         for v in 0..100_000u64 {
-            if fx(v) % workers == 0 {
-                shard_counts[(helios_shard_hash(v) % shards) as usize] += 1;
+            if helios_types::fx_hash_u64(v).is_multiple_of(workers) {
+                shard_counts[(shard_hash(v) % shards) as usize] += 1;
             }
         }
         let total: u32 = shard_counts.iter().sum();

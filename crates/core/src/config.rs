@@ -33,6 +33,24 @@ impl Default for FreshnessConfig {
     }
 }
 
+/// Cache-updating threads per serving worker.
+pub const UPDATER_THREADS: usize = 2;
+/// Partitions per serving worker's sample queue. Topology-defining: every
+/// process of a deployment creates its queues with this count.
+pub const SAMPLE_QUEUE_PARTITIONS: u32 = 2;
+/// Most records one worker consumer takes per poll.
+pub const POLL_BATCH: usize = 1024;
+/// How long an idle worker consumer's poll waits (its idle wake-up period).
+pub const POLL_TIMEOUT: Duration = Duration::from_millis(20);
+/// Capacity of the flight-recorder event ring (always on; a few KB).
+pub const FLIGHT_RECORDER_CAPACITY: usize = 4096;
+/// `/healthz`: max total sampling-shard mailbox backlog, and max drain
+/// deficit, considered healthy.
+pub const HEALTH_MAX_BACKLOG: u64 = 100_000;
+/// `/healthz`: a registered worker whose last heartbeat is older than this
+/// reads as dead and degrades health.
+pub const HEALTH_WORKER_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Configuration for a [`crate::HeliosDeployment`].
 #[derive(Debug, Clone)]
 pub struct HeliosConfig {
@@ -42,25 +60,14 @@ pub struct HeliosConfig {
     pub serving_workers: usize,
     /// Sampling threads (reservoir-table shards) per sampling worker.
     pub sampling_threads: usize,
-    /// Cache-updating threads per serving worker.
-    pub updater_threads: usize,
     /// Replicas per serving worker (§4.1: "replicating the highly loaded
     /// serving workers based on the ad-hoc skewness"). Each replica
     /// consumes the same sample queue under its own consumer group and
     /// holds a full copy of the slice's cache; the front-end spreads
     /// requests across replicas round-robin.
     pub serving_replicas: usize,
-    /// Partitions per serving worker's sample queue.
-    pub sample_queue_partitions: u32,
     /// Edge partition policy for the update stream.
     pub policy: PartitionPolicy,
-    /// Poll batch size for worker consumers.
-    pub poll_batch: usize,
-    /// Poll timeout for worker consumers (idle wake-up period).
-    pub poll_timeout: Duration,
-    /// Time-to-live for graph data; `None` disables expiry ("we set a TTL
-    /// threshold ... to ensure no graph data are expired", §7.1).
-    pub ttl: Option<Duration>,
     /// Directory for the serving workers' hybrid sample caches; `None`
     /// keeps caches purely in memory. `Default::default()` seeds this
     /// from the `HELIOS_CACHE_DIR` environment variable (a unique
@@ -95,16 +102,11 @@ pub struct HeliosConfig {
     /// Probes continuously inject marker updates, so quiesce-based tests
     /// should leave this off.
     pub freshness: Option<FreshnessConfig>,
-    /// Capacity of the flight-recorder event ring (always on; a few KB).
-    pub flight_recorder_capacity: usize,
     /// Directory anomaly flight dumps are written to; `None` keeps the
     /// ring in memory only (still visible via the ops server).
     pub flight_dump_dir: Option<PathBuf>,
     /// `/healthz`: max per-(group, topic) consumer lag considered healthy.
     pub health_max_lag: u64,
-    /// `/healthz`: max total sampling-shard mailbox backlog considered
-    /// healthy.
-    pub health_max_backlog: usize,
     /// Decode errors per stats tick that count as a spike and trigger a
     /// flight-recorder anomaly dump.
     pub decode_error_spike: u64,
@@ -112,10 +114,6 @@ pub struct HeliosConfig {
     /// Fixed for the deployment's lifetime; must be ≥ every worker count
     /// the deployment can scale to (slots, not workers, bound elasticity).
     pub route_slots: u32,
-    /// `/healthz`: a registered worker whose last heartbeat is older than
-    /// this reads as dead and degrades health; `None` disables the
-    /// membership probe (e.g. for paused/checkpoint-restore tests).
-    pub health_worker_timeout: Option<Duration>,
     /// Deadline for one `scale_to` handoff to reach its catch-up
     /// watermark before the rescale is abandoned.
     pub rescale_timeout: Duration,
@@ -148,13 +146,8 @@ impl Default for HeliosConfig {
             sampling_workers: 2,
             serving_workers: 2,
             sampling_threads: 2,
-            updater_threads: 2,
             serving_replicas: 1,
-            sample_queue_partitions: 2,
             policy: PartitionPolicy::BySrc,
-            poll_batch: 1024,
-            poll_timeout: Duration::from_millis(20),
-            ttl: None,
             cache_dir: helios_telemetry::cache_dir_env(),
             cache_shards: 4,
             cache_memtable_budget: 16 << 20,
@@ -164,13 +157,10 @@ impl Default for HeliosConfig {
             stats_interval: Some(Duration::from_millis(500)),
             ops_addr: None,
             freshness: None,
-            flight_recorder_capacity: 4096,
             flight_dump_dir: None,
             health_max_lag: 100_000,
-            health_max_backlog: 100_000,
             decode_error_spike: 100,
             route_slots: 64,
-            health_worker_timeout: Some(Duration::from_secs(5)),
             rescale_timeout: Duration::from_secs(30),
             trace_sample: 1.0,
             trace_slow_threshold: Duration::from_millis(10),
@@ -200,19 +190,13 @@ impl HeliosConfig {
         if self.serving_workers == 0 {
             return Err(InvalidConfig("need at least one serving worker".into()));
         }
-        if self.sampling_threads == 0 || self.updater_threads == 0 {
-            return Err(InvalidConfig("thread counts must be positive".into()));
+        if self.sampling_threads == 0 {
+            return Err(InvalidConfig("sampling threads must be positive".into()));
         }
         if self.serving_replicas == 0 {
             return Err(InvalidConfig(
                 "each serving worker needs at least one replica".into(),
             ));
-        }
-        if self.sample_queue_partitions == 0 {
-            return Err(InvalidConfig("sample queues need partitions".into()));
-        }
-        if self.poll_batch == 0 {
-            return Err(InvalidConfig("poll batch must be positive".into()));
         }
         if self.cache_shards == 0 {
             return Err(InvalidConfig("caches need at least one shard".into()));
@@ -239,11 +223,6 @@ impl HeliosConfig {
                 ));
             }
         }
-        if self.flight_recorder_capacity == 0 {
-            return Err(InvalidConfig(
-                "flight recorder needs a positive capacity".into(),
-            ));
-        }
         if self.decode_error_spike == 0 {
             return Err(InvalidConfig(
                 "decode-error spike threshold must be positive".into(),
@@ -252,11 +231,6 @@ impl HeliosConfig {
         if (self.route_slots as usize) < self.serving_workers {
             return Err(InvalidConfig(
                 "route_slots must be >= serving_workers (slots bound elasticity)".into(),
-            ));
-        }
-        if self.health_worker_timeout == Some(Duration::ZERO) {
-            return Err(InvalidConfig(
-                "health worker timeout must be positive (or None to disable)".into(),
             ));
         }
         if self.rescale_timeout.is_zero() {
@@ -309,10 +283,7 @@ mod tests {
             |c: &mut HeliosConfig| c.sampling_workers = 0,
             |c: &mut HeliosConfig| c.serving_workers = 0,
             |c: &mut HeliosConfig| c.sampling_threads = 0,
-            |c: &mut HeliosConfig| c.updater_threads = 0,
             |c: &mut HeliosConfig| c.serving_replicas = 0,
-            |c: &mut HeliosConfig| c.sample_queue_partitions = 0,
-            |c: &mut HeliosConfig| c.poll_batch = 0,
             |c: &mut HeliosConfig| c.cache_shards = 0,
             |c: &mut HeliosConfig| c.cache_l0_compact_trigger = 0,
             |c: &mut HeliosConfig| c.cache_max_immutables = 0,
@@ -323,10 +294,8 @@ mod tests {
                     ..Default::default()
                 })
             },
-            |c: &mut HeliosConfig| c.flight_recorder_capacity = 0,
             |c: &mut HeliosConfig| c.decode_error_spike = 0,
             |c: &mut HeliosConfig| c.route_slots = 1,
-            |c: &mut HeliosConfig| c.health_worker_timeout = Some(Duration::ZERO),
             |c: &mut HeliosConfig| c.rescale_timeout = Duration::ZERO,
             |c: &mut HeliosConfig| c.trace_sample = -0.1,
             |c: &mut HeliosConfig| c.trace_sample = 1.5,

@@ -6,7 +6,7 @@
 //! triggered through [`crate::HeliosDeployment::checkpoint`], which the
 //! coordinator can drive periodically.
 
-use helios_actor::{Beacon, Liveness};
+use crate::actor::{Beacon, Liveness};
 use helios_query::{KHopQuery, QueryDag};
 use std::sync::Arc;
 use std::time::Duration;

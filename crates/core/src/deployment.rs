@@ -2,19 +2,18 @@
 //! standing in for machines: a [`SamplingTier`] and a [`ServingTier`] on
 //! the sampling tier's broker, observed through one [`OpsPlane`].
 
-use crate::config::{FreshnessConfig, HeliosConfig};
+use crate::config::{FreshnessConfig, HeliosConfig, HEALTH_MAX_BACKLOG, HEALTH_WORKER_TIMEOUT};
 use crate::coordinator::Coordinator;
 use crate::plane::OpsPlane;
 use crate::sampler::{SamplerMetrics, SamplingWorker};
 use crate::serving::ServingWorker;
 use crate::tier::{SamplingTier, ServingTier, Watermarks};
 use helios_membership::Router;
-use helios_metrics::Histogram;
 use helios_mq::Broker;
 use helios_query::{KHopQuery, SampledSubgraph};
 use helios_telemetry::ops::HealthProbe;
 use helios_telemetry::{
-    span, DynRoutes, EventKind, FlightRecorder, HealthReport, MemAccountant, Registry,
+    span, DynRoutes, EventKind, FlightRecorder, HealthReport, Histogram, MemAccountant, Registry,
     RegistrySnapshot, RetainedTraces, SloTracker, StatsReporter, TraceCtx,
 };
 use helios_types::{GraphUpdate, HeliosError, Result, Timestamp, VertexId, VertexUpdate};
@@ -127,28 +126,25 @@ impl HeliosDeployment {
         // `membership`: a registered worker that stopped heartbeating is
         // dead capacity — degrade `/healthz` so the operator (or an
         // orchestrator watching it) reacts before queries hit the gap.
-        if let Some(timeout) = config.health_worker_timeout {
-            let liveness = coordinator.liveness();
-            probes.push(Box::new(move || {
-                let dead = liveness.dead_workers(timeout);
-                let detail = if dead.is_empty() {
-                    "all workers heartbeating".to_string()
-                } else {
-                    format!("dead workers: {}", dead.join(", "))
-                };
-                HealthReport::new("membership", dead.is_empty(), detail)
-            }));
-        }
+        let liveness = coordinator.liveness();
+        probes.push(Box::new(move || {
+            let dead = liveness.dead_workers(HEALTH_WORKER_TIMEOUT);
+            let detail = if dead.is_empty() {
+                "all workers heartbeating".to_string()
+            } else {
+                format!("dead workers: {}", dead.join(", "))
+            };
+            HealthReport::new("membership", dead.is_empty(), detail)
+        }));
         probes.extend(tier.probes());
         probes.extend(serving.probes());
         // `pipeline`: the drain deficit (produced − consumed over all
         // stages, the quiesce equation) within bound.
         let (drain_tier, drain_serving) = (Arc::clone(&tier), Arc::clone(&serving));
-        let bound = config.health_max_backlog as u64;
         probes.push(Box::new(move || {
             let deficit = drain_serving.watermarks(&drain_tier).deficit();
-            let detail = format!("drain deficit {deficit} (bound {bound})");
-            HealthReport::new("pipeline", deficit <= bound, detail)
+            let detail = format!("drain deficit {deficit} (bound {HEALTH_MAX_BACKLOG})");
+            HealthReport::new("pipeline", deficit <= HEALTH_MAX_BACKLOG, detail)
         }));
         plane.start_ops_server(probes)?;
 

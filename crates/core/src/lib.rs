@@ -44,6 +44,7 @@
 //! let result = helios.serve(VertexId(42)).unwrap();
 //! ```
 
+pub mod actor;
 pub mod config;
 pub mod coordinator;
 pub mod deployment;
@@ -55,7 +56,9 @@ pub mod sampler;
 pub mod serving;
 pub mod tier;
 
-pub use config::{FreshnessConfig, HeliosConfig};
+pub use config::{
+    FreshnessConfig, HeliosConfig, POLL_BATCH, POLL_TIMEOUT, SAMPLE_QUEUE_PARTITIONS,
+};
 pub use coordinator::Coordinator;
 pub use deployment::HeliosDeployment;
 pub use messages::{ControlMsg, SampleEntryLite, SampleMsg, UpdateEnvelope};

@@ -7,7 +7,7 @@
 //! probe. The tiers contribute their own probes and stats-tick shares;
 //! the plane adds the base ones.
 
-use crate::config::HeliosConfig;
+use crate::config::{HeliosConfig, FLIGHT_RECORDER_CAPACITY};
 use helios_mq::Broker;
 use helios_telemetry::ops::HealthProbe;
 use helios_telemetry::{
@@ -63,7 +63,7 @@ impl OpsPlane {
                 .min(u128::from(u64::MAX)) as u64,
         ));
         accountant.adopt("trace_retention", &[], retained.mem_gauge());
-        let recorder = FlightRecorder::new(config.flight_recorder_capacity);
+        let recorder = FlightRecorder::new(FLIGHT_RECORDER_CAPACITY);
         recorder.set_dump_dir(config.flight_dump_dir.clone());
         OpsPlane {
             profiler: Arc::new(Profiler::new(&registry)),

@@ -17,16 +17,15 @@
 //! serving worker's subscription to `(hop k, vertex)` exists as long as at
 //! least one upstream reservoir it subscribes to contains that vertex.
 
-use crate::config::HeliosConfig;
+use crate::actor::{Beacon, ShardedPool};
+use crate::config::{HeliosConfig, POLL_BATCH, POLL_TIMEOUT};
 use crate::messages::{now_nanos, ControlMsg, SampleEntryLite, SampleMsg, UpdateEnvelope};
 use crate::to_reservoir_strategy;
-use helios_actor::{Beacon, ShardedPool};
 use helios_membership::{MembershipMsg, RouteTable, Router};
-use helios_metrics::Histogram;
 use helios_mq::Broker;
 use helios_query::{KHopQuery, QueryDag};
 use helios_sampling::{ReservoirOutcome, ReservoirTable, SampleEntry};
-use helios_telemetry::{span, Counter, EventKind, FlightRecorder, Registry, TraceCtx};
+use helios_telemetry::{span, Counter, EventKind, FlightRecorder, Histogram, Registry, TraceCtx};
 use helios_types::{
     hash::route, Decode, EdgeUpdate, Encode, FxHashMap, GraphUpdate, PartitionId, QueryHopId,
     Result, SamplingWorkerId, ServingWorkerId, Timestamp, VertexId, VertexType, VertexUpdate,
@@ -895,7 +894,7 @@ impl SamplerShard {
 static SHARD_UPDATE: helios_types::profile::FrameLabel =
     helios_types::profile::FrameLabel::new("shard_update");
 
-impl helios_actor::Actor for SamplerShard {
+impl crate::actor::Actor for SamplerShard {
     type Msg = ShardMsg;
 
     fn on_start(&mut self) {
@@ -1019,8 +1018,6 @@ impl SamplingWorker {
             let shards = Arc::clone(&shards);
             let stop = Arc::clone(&stop);
             let metrics = Arc::clone(&metrics);
-            let poll_batch = config.poll_batch;
-            let poll_timeout = config.poll_timeout;
             let beacon2 = beacon.clone();
             pollers.push(
                 std::thread::Builder::new()
@@ -1032,7 +1029,7 @@ impl SamplingWorker {
                         ));
                         while !stop.load(Ordering::Relaxed) {
                             beacon2.beat();
-                            let recs = consumer.poll(poll_batch, poll_timeout);
+                            let recs = consumer.poll(POLL_BATCH, POLL_TIMEOUT);
                             let consumed_at = if recs.is_empty() { 0 } else { now_nanos() };
                             for rec in recs {
                                 if rec.produced_at > 0 {
@@ -1079,8 +1076,6 @@ impl SamplingWorker {
             let shards = Arc::clone(&shards);
             let stop = Arc::clone(&stop);
             let metrics = Arc::clone(&metrics);
-            let poll_batch = config.poll_batch;
-            let poll_timeout = config.poll_timeout;
             pollers.push(
                 std::thread::Builder::new()
                     .name(format!("saw{}-poll-control", id.0))
@@ -1091,7 +1086,7 @@ impl SamplingWorker {
                         ));
                         while !stop.load(Ordering::Relaxed) {
                             beacon.beat();
-                            let recs = consumer.poll(poll_batch, poll_timeout);
+                            let recs = consumer.poll(POLL_BATCH, POLL_TIMEOUT);
                             for rec in recs {
                                 match ControlMsg::decode_from_slice(&rec.payload) {
                                     Ok(msg) => {
@@ -1130,7 +1125,6 @@ impl SamplingWorker {
             let ctx2 = Arc::clone(&ctx);
             let prepared = Arc::clone(&prepared_epoch);
             let committed = Arc::clone(&committed_epoch);
-            let poll_timeout = config.poll_timeout;
             pollers.push(
                 std::thread::Builder::new()
                     .name(format!("saw{}-poll-membership", id.0))
@@ -1140,7 +1134,7 @@ impl SamplingWorker {
                             id.0
                         ));
                         while !stop.load(Ordering::Relaxed) {
-                            for rec in consumer.poll(64, poll_timeout) {
+                            for rec in consumer.poll(64, POLL_TIMEOUT) {
                                 let msg = match MembershipMsg::decode_from_slice(&rec.payload) {
                                     Ok(m) => m,
                                     Err(_) => continue,

@@ -17,15 +17,16 @@
 //! and at most `1 + Σ ∏ Cᵢ` feature lookups — independent of vertex
 //! degree, which is the whole point (§6).
 
-use crate::config::HeliosConfig;
+use crate::config::{
+    HeliosConfig, POLL_BATCH, POLL_TIMEOUT, SAMPLE_QUEUE_PARTITIONS, UPDATER_THREADS,
+};
 use crate::messages::{now_nanos, SampleEntryLite, SampleMsg};
 use crate::sampler::topics;
 use bytes::{Bytes, BytesMut};
 use helios_kvstore::{KvConfig, KvEvent, KvMemGauges, KvStats, KvStore, WriteOp};
-use helios_metrics::Histogram;
 use helios_mq::Broker;
 use helios_query::{KHopQuery, SampledSubgraph, SubgraphArena, SubgraphView};
-use helios_telemetry::{span, Counter, EventKind, FlightRecorder, Registry, TraceCtx};
+use helios_telemetry::{span, Counter, EventKind, FlightRecorder, Histogram, Registry, TraceCtx};
 use helios_types::profile::{push_frame, register_thread, FrameLabel};
 use helios_types::{
     Decode, Encode, FxHashSet, MemGauge, PartitionId, QueryHopId, Result, ServingWorkerId,
@@ -191,7 +192,7 @@ impl ServingWorker {
         config: &HeliosConfig,
         query: &KHopQuery,
         broker: &Arc<Broker>,
-        beacon: helios_actor::Beacon,
+        beacon: crate::actor::Beacon,
         registry: &Registry,
         recorder: &Arc<FlightRecorder>,
     ) -> Result<Arc<ServingWorker>> {
@@ -314,10 +315,8 @@ impl ServingWorker {
 
         // Data-updating threads: split the topic's partitions across them.
         let topic_name = topics::samples(id.0);
-        let partitions: Vec<PartitionId> = (0..config.sample_queue_partitions)
-            .map(PartitionId)
-            .collect();
-        let chunks: Vec<Vec<PartitionId>> = split_round_robin(&partitions, config.updater_threads);
+        let partitions: Vec<PartitionId> = (0..SAMPLE_QUEUE_PARTITIONS).map(PartitionId).collect();
+        let chunks: Vec<Vec<PartitionId>> = split_round_robin(&partitions, UPDATER_THREADS);
         for (t, parts) in chunks.into_iter().enumerate() {
             if parts.is_empty() {
                 continue;
@@ -326,8 +325,6 @@ impl ServingWorker {
                 broker.consumer(&format!("sew-{}-r{replica}", id.0), &topic_name, &parts)?;
             let w = Arc::clone(&worker);
             let stop = Arc::clone(&worker.stop);
-            let poll_batch = config.poll_batch;
-            let poll_timeout = config.poll_timeout;
             let beacon = beacon.clone();
             let recorder = Arc::clone(recorder);
             let updater_name = format!("sew{}r{replica}-updater-{t}", id.0);
@@ -336,10 +333,10 @@ impl ServingWorker {
                     .name(updater_name.clone())
                     .spawn(move || {
                         let _token = register_thread(updater_name);
-                        let mut batch: Vec<SampleMsg> = Vec::with_capacity(poll_batch);
+                        let mut batch: Vec<SampleMsg> = Vec::with_capacity(POLL_BATCH);
                         while !stop.load(Ordering::Relaxed) {
                             beacon.beat();
-                            let recs = consumer.poll(poll_batch, poll_timeout);
+                            let recs = consumer.poll(POLL_BATCH, POLL_TIMEOUT);
                             if recs.is_empty() {
                                 continue;
                             }

@@ -18,13 +18,15 @@
 //! "pipeline" probe, both hosts' `StatsOk` replies and the multi-process
 //! drain loops all read it.
 
-use crate::config::HeliosConfig;
+use crate::actor::Liveness;
+use crate::config::{
+    HeliosConfig, HEALTH_MAX_BACKLOG, HEALTH_WORKER_TIMEOUT, SAMPLE_QUEUE_PARTITIONS,
+};
 use crate::coordinator::Coordinator;
 use crate::messages::UpdateEnvelope;
 use crate::plane::{mq_probe, OpsPlane};
 use crate::sampler::{topics, SamplingWorker};
 use crate::serving::ServingWorker;
-use helios_actor::Liveness;
 use helios_membership::{RouteTable, Router};
 use helios_mq::{Broker, Topic, TopicConfig};
 use helios_query::KHopQuery;
@@ -191,7 +193,7 @@ impl SamplingTier {
         self.broker.create_topic(
             &topics::samples(s),
             TopicConfig {
-                partitions: self.config.sample_queue_partitions,
+                partitions: SAMPLE_QUEUE_PARTITIONS,
                 mem: self.mq_log.clone(),
                 ..Default::default()
             },
@@ -249,18 +251,17 @@ impl SamplingTier {
 
     /// The tier's `/healthz` probes: `mq` (every consumer group's lag
     /// within `health_max_lag`) and `sampler` (the shard mailboxes'
-    /// total backlog within `health_max_backlog`).
+    /// total backlog within [`HEALTH_MAX_BACKLOG`]).
     pub fn probes(self: &Arc<Self>) -> Vec<HealthProbe> {
         let tier = Arc::clone(self);
-        let max_backlog = self.config.health_max_backlog as u64;
         vec![
             mq_probe(&self.broker, self.config.health_max_lag),
             Box::new(move || {
                 let total = tier.backlog();
                 HealthReport::new(
                     "sampler",
-                    total <= max_backlog,
-                    format!("mailbox backlog {total} (bound {max_backlog})"),
+                    total <= HEALTH_MAX_BACKLOG,
+                    format!("mailbox backlog {total} (bound {HEALTH_MAX_BACKLOG})"),
                 )
             }),
         ]
@@ -268,9 +269,9 @@ impl SamplingTier {
 
     /// The tier's share of a stats tick: `mq.lag{group,topic}` (plus a
     /// lag sample in the flight ring), `actor.mailbox_depth{worker}`, and
-    /// the fleet's shape — routing epoch, routed serving workers and,
-    /// with `health_worker_timeout` set, workers whose heartbeats on
-    /// `coordinator` expired — so `/vars` answers "what shape is the
+    /// the fleet's shape — routing epoch, routed serving workers and the
+    /// workers whose heartbeats on `coordinator` are older than
+    /// [`HEALTH_WORKER_TIMEOUT`] — so `/vars` answers "what shape is the
     /// fleet in" without scraping the membership topic.
     pub fn stats_tick(
         self: &Arc<Self>,
@@ -303,11 +304,9 @@ impl SamplingTier {
             registry
                 .gauge("membership.workers", &[])
                 .set(table.workers() as i64);
-            if let Some(timeout) = tier.config.health_worker_timeout {
-                registry
-                    .gauge("membership.dead_workers", &[])
-                    .set(liveness.dead_workers(timeout).len() as i64);
-            }
+            registry
+                .gauge("membership.dead_workers", &[])
+                .set(liveness.dead_workers(HEALTH_WORKER_TIMEOUT).len() as i64);
         }
     }
 

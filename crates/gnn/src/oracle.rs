@@ -9,9 +9,9 @@
 //!   the horizon exist in the real world but are invisible to the
 //!   sampler, exactly the staleness eventual consistency introduces.
 
-use helios_graphstore::GraphPartition;
 use helios_query::{HopSamples, KHopQuery, SampledSubgraph, SamplingStrategy};
 use helios_sampling::adhoc::{adhoc_random, adhoc_topk, adhoc_weighted, NeighborEdge};
+use helios_sampling::graph::GraphPartition;
 use helios_types::{GraphUpdate, Timestamp, VertexId};
 use rand::Rng;
 

@@ -1,11 +1,11 @@
 //! The distributed graph database itself.
 
 use crate::cache::QueryCache;
+use crate::netsim::{Network, NetworkConfig};
 use crate::semaphore::Semaphore;
-use helios_graphstore::{GraphPartition, StoredEdge};
-use helios_netsim::{Network, NetworkConfig};
 use helios_query::{HopSamples, KHopQuery, SampledSubgraph, SamplingStrategy};
 use helios_sampling::adhoc::{adhoc_random, adhoc_topk, adhoc_weighted, NeighborEdge};
+use helios_sampling::graph::{GraphPartition, StoredEdge};
 use helios_telemetry::{span, Counter, TraceCtx};
 use helios_types::{hash::route, FxHashMap, GraphUpdate, PartitionPolicy, Result, VertexId};
 use parking_lot::RwLock;
@@ -650,7 +650,7 @@ mod concurrency_tests {
         let db = Arc::new(GraphDb::new(GraphDbConfig {
             nodes: 2,
             compute_slots_per_node: 2,
-            network: helios_netsim::NetworkConfig::zero(),
+            network: crate::netsim::NetworkConfig::zero(),
             sync_replication: false,
             query_cache: true,
             ..Default::default()

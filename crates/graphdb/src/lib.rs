@@ -11,7 +11,7 @@
 //! 2. **Per-hop network rounds** (§3.2): the graph is hash-partitioned
 //!    over storage nodes; each hop pays one request/response round per
 //!    remote node holding frontier vertices, modelled (and slept) by
-//!    `helios-netsim`.
+//!    [`netsim`].
 //!
 //! Also modelled, because the paper measures them:
 //!
@@ -25,6 +25,7 @@
 
 pub mod cache;
 pub mod db;
+pub mod netsim;
 pub mod semaphore;
 
 pub use cache::QueryCache;

@@ -1,9 +1,7 @@
-//! # helios-netsim
-//!
 //! A calibrated network cost model for the "threads-as-machines"
 //! deployment. The paper's cluster has a 10 Gbps network; distributed
 //! multi-hop sampling pays one cross-machine round trip per hop (§3.2),
-//! which is the effect this crate injects.
+//! which is the effect this module injects.
 //!
 //! The model charges `rtt + bytes / bandwidth` per message and actually
 //! *sleeps* for that duration, so latency histograms measured by the

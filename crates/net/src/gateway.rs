@@ -16,19 +16,17 @@
 //! dedicated responder thread, so a slow seed never deadlocks the
 //! stream — and nothing in the gateway queues without a bound.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver};
 use helios_membership::RouteTable;
 use helios_telemetry::registry::{Counter, Gauge, Registry};
-use helios_telemetry::{HealthReport, Histogram, OpsServer, OpsState};
+use helios_telemetry::{AcceptLoop, ConnMode, HealthReport, Histogram, OpsServer, OpsState};
 use helios_types::Result;
-use parking_lot::Mutex;
 
 use crate::transport::{Completion, NetMetrics, TcpOptions, TcpTransport, Transport};
 use crate::wire::{self, ErrCode, Payload};
@@ -112,12 +110,8 @@ struct Shared {
 
 /// A running gateway process core.
 pub struct Gateway {
-    addr: SocketAddr,
-    ops_addr: Option<SocketAddr>,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    _ops: Option<OpsServer>,
+    accept: AcceptLoop,
+    ops: Option<OpsServer>,
     registry: Arc<Registry>,
 }
 
@@ -171,61 +165,29 @@ impl Gateway {
             }
             None => None,
         };
-        let ops_addr = ops.as_ref().map(|o| o.addr());
 
-        let listener = TcpListener::bind(&config.listen)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("gateway-accept".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok((stream, peer)) => {
-                                if stream.set_nodelay(true).is_err() {
-                                    continue;
-                                }
-                                if let Ok(track) = stream.try_clone() {
-                                    conns.lock().push(track);
-                                }
-                                let shared = Arc::clone(&shared);
-                                let _ = std::thread::Builder::new()
-                                    .name(format!("gateway-conn-{peer}"))
-                                    .spawn(move || client_connection(stream, shared));
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-                        }
-                    }
-                })
-                .expect("spawn gateway accept loop")
-        };
+        let accept = AcceptLoop::start(
+            &config.listen,
+            |_| "gateway-accept".into(),
+            Duration::from_millis(2),
+            ConnMode::Threaded("gateway-conn"),
+            move |stream, _| client_connection(stream, Arc::clone(&shared)),
+        )?;
         Ok(Gateway {
-            addr,
-            ops_addr,
-            stop,
-            accept: Some(accept),
-            conns,
-            _ops: ops,
+            accept,
+            ops,
             registry,
         })
     }
 
     /// The client-facing address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// The ops server address, when one was started.
     pub fn ops_addr(&self) -> Option<SocketAddr> {
-        self.ops_addr
+        self.ops.as_ref().map(OpsServer::addr)
     }
 
     /// The gateway's metrics registry (`gateway.*` and `net.*`).
@@ -235,23 +197,7 @@ impl Gateway {
 
     /// Stop accepting and close every client connection.
     pub fn shutdown(mut self) {
-        self.teardown();
-    }
-
-    fn teardown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for stream in self.conns.lock().drain(..) {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Gateway {
-    fn drop(&mut self) {
-        self.teardown();
+        self.accept.shutdown();
     }
 }
 
@@ -355,7 +301,6 @@ fn client_connection(stream: TcpStream, shared: Arc<Shared>) {
     // already in flight and exits.
     drop(reply_tx);
     let _ = responder.join();
-    let _ = stream.shutdown(std::net::Shutdown::Both);
     shared.net.connection_delta(-1);
 }
 

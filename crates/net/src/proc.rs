@@ -34,7 +34,10 @@ use std::time::Duration;
 
 use helios_core::plane::mq_probe;
 use helios_core::sampler::topics;
-use helios_core::{Coordinator, HeliosConfig, OpsPlane, SamplingTier, ServingTier, ServingWorker};
+use helios_core::{
+    Coordinator, HeliosConfig, OpsPlane, SamplingTier, ServingTier, ServingWorker, POLL_BATCH,
+    POLL_TIMEOUT, SAMPLE_QUEUE_PARTITIONS,
+};
 use helios_mq::{Broker, Topic, TopicConfig};
 use helios_query::KHopQuery;
 use helios_telemetry::registry::Registry;
@@ -192,7 +195,7 @@ impl ServeHost {
         let topic = broker.create_topic(
             &topics::samples(host.sew),
             TopicConfig {
-                partitions: config.sample_queue_partitions,
+                partitions: SAMPLE_QUEUE_PARTITIONS,
                 mem: plane.accountant().register("mq_log", &[]),
                 ..Default::default()
             },
@@ -374,22 +377,10 @@ impl SamplingHost {
             );
             let stop = Arc::clone(&stop);
             let forwarded = Arc::clone(&forwarded);
-            let poll_batch = config.poll_batch;
-            let poll_timeout = config.poll_timeout;
             relays.push(
                 std::thread::Builder::new()
                     .name(format!("relay-{s}"))
-                    .spawn(move || {
-                        relay_loop(
-                            s,
-                            consumer,
-                            transport,
-                            stop,
-                            forwarded,
-                            poll_batch,
-                            poll_timeout,
-                        );
-                    })
+                    .spawn(move || relay_loop(s, consumer, transport, stop, forwarded))
                     .expect("spawn relay"),
             );
         }
@@ -454,11 +445,9 @@ fn relay_loop(
     transport: TcpTransport,
     stop: Arc<AtomicBool>,
     forwarded: Arc<Vec<AtomicU64>>,
-    poll_batch: usize,
-    poll_timeout: Duration,
 ) {
     loop {
-        let recs = consumer.poll(poll_batch, poll_timeout);
+        let recs = consumer.poll(POLL_BATCH, POLL_TIMEOUT);
         if recs.is_empty() {
             if stop.load(Ordering::SeqCst) {
                 return;

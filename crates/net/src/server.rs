@@ -1,5 +1,5 @@
 //! The frame server: a hand-rolled TCP front for any [`NetService`],
-//! in the same nonblocking-accept style as the telemetry ops server.
+//! on the same [`AcceptLoop`] as the telemetry ops server.
 //!
 //! Each accepted connection gets one handler thread that decodes frames
 //! in order and writes replies back on the same stream, so requests from
@@ -14,17 +14,14 @@
 //! [`EventKind::DecodeError`] flight event), and the connection closes.
 
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::BytesMut;
-use helios_telemetry::{EventKind, FlightRecorder};
+use helios_telemetry::{AcceptLoop, ConnMode, EventKind, FlightRecorder};
 use helios_types::profile::register_thread;
 use helios_types::{HeliosError, Result, VertexId};
-use parking_lot::Mutex;
 
 use crate::transport::NetMetrics;
 use crate::wire::{self, ErrCode, Payload};
@@ -46,10 +43,7 @@ pub trait NetService: Send + Sync {
 
 /// A running frame server.
 pub struct NetServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    accept: AcceptLoop,
 }
 
 impl NetServer {
@@ -60,84 +54,31 @@ impl NetServer {
         metrics: Arc<NetMetrics>,
         recorder: Option<Arc<FlightRecorder>>,
     ) -> std::io::Result<NetServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name(format!("net-accept-{}", addr.port()))
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok((stream, peer)) => {
-                                if stream.set_nodelay(true).is_err() {
-                                    continue;
-                                }
-                                if let Ok(track) = stream.try_clone() {
-                                    conns.lock().push(track);
-                                }
-                                let service = Arc::clone(&service);
-                                let metrics = Arc::clone(&metrics);
-                                let recorder = recorder.clone();
-                                // A failed spawn (fd/thread pressure)
-                                // just drops the connection.
-                                let _ = std::thread::Builder::new()
-                                    .name(format!("net-conn-{peer}"))
-                                    .spawn(move || {
-                                        // Serves run here: registered, their
-                                        // stages show up in `/profile`.
-                                        let _profiled = register_thread(format!("net-conn-{peer}"));
-                                        metrics.connection_delta(1);
-                                        let _ =
-                                            handle_connection(stream, &service, &metrics, recorder);
-                                        metrics.connection_delta(-1);
-                                    });
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-                        }
-                    }
-                })
-                .expect("spawn net accept loop")
-        };
-        Ok(NetServer {
+        let accept = AcceptLoop::start(
             addr,
-            stop,
-            accept: Some(accept),
-            conns,
-        })
+            |bound| format!("net-accept-{}", bound.port()),
+            Duration::from_millis(2),
+            ConnMode::Threaded("net-conn"),
+            move |stream, peer| {
+                // Serves run here: registered, their stages show up in
+                // `/profile`.
+                let _profiled = register_thread(format!("net-conn-{peer}"));
+                metrics.connection_delta(1);
+                let _ = handle_connection(stream, &service, &metrics, recorder.as_deref());
+                metrics.connection_delta(-1);
+            },
+        )?;
+        Ok(NetServer { accept })
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// Stop accepting and tear down every open connection.
     pub fn shutdown(mut self) {
-        self.teardown();
-    }
-
-    fn teardown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for stream in self.conns.lock().drain(..) {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for NetServer {
-    fn drop(&mut self) {
-        self.teardown();
+        self.accept.shutdown();
     }
 }
 
@@ -146,7 +87,7 @@ fn handle_connection(
     stream: TcpStream,
     service: &Arc<dyn NetService>,
     metrics: &Arc<NetMetrics>,
-    recorder: Option<Arc<FlightRecorder>>,
+    recorder: Option<&FlightRecorder>,
 ) -> Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
@@ -161,7 +102,7 @@ fn handle_connection(
                 // corrupt data, answer, and hang up: after a framing
                 // error the stream position is unrecoverable.
                 metrics.decode_error();
-                if let Some(r) = &recorder {
+                if let Some(r) = recorder {
                     r.record(EventKind::DecodeError, u32::MAX, 1, 0, 0);
                 }
                 let reply = Payload::Error {

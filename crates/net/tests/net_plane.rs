@@ -142,7 +142,16 @@ fn corrupt_frames_get_a_clean_codec_error_and_are_counted() {
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    let _ = stream.read_to_end(&mut reply); // server closes after the error
+    // The server hangs up after the error: EOF, not a read timeout.
+    let reading = Instant::now();
+    let read = stream.read_to_end(&mut reply);
+    assert!(read.is_ok(), "connection left open: {read:?}");
+    assert!(
+        reading.elapsed() < Duration::from_secs(1),
+        "EOF took {:?}",
+        reading.elapsed()
+    );
+    assert!(!reply.is_empty(), "no codec-error reply");
     let deadline = Instant::now() + Duration::from_secs(5);
     while registry.snapshot().counter_total("serving.decode_errors") == 0
         && Instant::now() < deadline

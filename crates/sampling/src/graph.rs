@@ -1,4 +1,7 @@
-//! One partition of the dynamic graph: adjacency lists + feature table.
+//! One partition of the dynamic graph: adjacency lists + feature table
+//! (§4.2), with TTL expiry of stale data. The full-neighbour-list storage
+//! that the [`crate::adhoc`] samplers traverse: each graph-database
+//! baseline storage node owns one, and so does the GNN accuracy oracle.
 
 use helios_types::{
     EdgeType, EdgeUpdate, FxHashMap, GraphUpdate, Timestamp, VertexId, VertexType, VertexUpdate,

@@ -1,7 +1,8 @@
 //! # helios-sampling
 //!
 //! Event-driven reservoir sampling (§5.2 of the Helios paper) plus the
-//! ad-hoc (full-traversal) samplers used by the graph-database baseline.
+//! ad-hoc (full-traversal) samplers used by the graph-database baseline,
+//! and the [`graph`] partitions they traverse.
 //!
 //! Helios's key trick is maintaining, for every one-hop query and every
 //! target vertex, a **reservoir** of sampled neighbors that is refreshed
@@ -25,9 +26,11 @@
 //! cost model, not the statistics.
 
 pub mod adhoc;
+pub mod graph;
 pub mod reservoir;
 pub mod table;
 
 pub use adhoc::{adhoc_random, adhoc_topk, adhoc_weighted};
+pub use graph::{GraphPartition, StoredEdge};
 pub use reservoir::{Reservoir, ReservoirOutcome, SampleEntry, SamplingStrategy};
 pub use table::ReservoirTable;

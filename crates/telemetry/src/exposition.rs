@@ -15,8 +15,8 @@
 //! The renderer is a pure function of the snapshot, so `/metrics` on the
 //! ops server (see [`crate::ops`]) is just snapshot + render.
 
+use crate::metrics::Snapshot;
 use crate::registry::{instrument_name, RegistrySnapshot};
-use helios_metrics::Snapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

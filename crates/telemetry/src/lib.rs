@@ -17,10 +17,9 @@
 //!   freshness [`slo`] tracker, and an always-on flight [`recorder`]
 //!   ring that dumps JSONL on anomalies.
 //!
-//! [`helios_metrics`] is re-exported as [`metrics`]: it remains the
-//! instrument layer (histogram buckets, throughput meters, table
-//! rendering) while this crate adds naming, aggregation, tracing, and
-//! reporting on top.
+//! [`metrics`] is the instrument layer (histogram buckets, throughput
+//! meters, table rendering); the rest of this crate adds naming,
+//! aggregation, tracing, and reporting on top.
 //!
 //! ## Environment variables
 //!
@@ -33,8 +32,10 @@
 //! | `HELIOS_CACHE_DIR`| base directory for hybrid (memory + disk) serving caches; unset keeps caches purely in memory |
 //! | `HELIOS_MEM_BUDGET` | per-deployment memory budget in bytes (suffixes `k`/`m`/`g` accepted, e.g. `512m`); drives `mem.budget_fraction_permille` and the `/healthz` memory-pressure probe |
 
+pub mod accept;
 pub mod exposition;
 pub mod mem;
+pub mod metrics;
 pub mod ops;
 pub mod profiler;
 pub mod recorder;
@@ -44,12 +45,10 @@ pub mod retention;
 pub mod slo;
 pub mod trace;
 
-/// The instrument layer this crate builds on.
-pub use helios_metrics as metrics;
-
+pub use accept::{AcceptLoop, ConnMode};
 pub use exposition::render_prometheus;
-pub use helios_metrics::{Histogram, Snapshot, StopwatchGuard, Table, ThroughputMeter};
 pub use mem::{MemAccountant, MemTick, MEM_BUDGET_FRACTION, MEM_BYTES};
+pub use metrics::{Histogram, Snapshot, StopwatchGuard, Table, ThroughputMeter};
 pub use ops::{DynRoutes, HealthReport, OpsServer, OpsState};
 pub use profiler::Profiler;
 pub use recorder::{EventKind, FlightEvent, FlightRecorder};

@@ -1,5 +1,3 @@
-//! # helios-metrics
-//!
 //! Measurement infrastructure for the Helios reproduction: log-bucketed
 //! latency histograms (the paper reports average and P99 latency
 //! everywhere), throughput meters, and a fixed-width table printer used by

@@ -24,6 +24,7 @@
 //! an operator's `curl`), not for serving-path load: connections are
 //! handled sequentially with short read timeouts.
 
+use crate::accept::{AcceptLoop, ConnMode};
 use crate::exposition::render_prometheus;
 use crate::profiler::{Profiler, MAX_PROFILE_SECS};
 use crate::recorder::FlightRecorder;
@@ -33,10 +34,8 @@ use crate::trace;
 use parking_lot::RwLock;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Result of one component health probe.
@@ -258,57 +257,30 @@ fn render_health(reports: &[HealthReport]) -> (bool, String) {
 
 /// A running ops server; stops and joins its handler thread on drop.
 pub struct OpsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    accept: AcceptLoop,
 }
 
 impl OpsServer {
     /// Bind `addr` (e.g. `127.0.0.1:9100`, or port `0` for an ephemeral
     /// port) and start serving `state`.
     pub fn start(addr: &str, state: OpsState) -> std::io::Result<OpsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("helios-ops".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Ops traffic is trusted and tiny; one request
-                            // per connection, handled inline.
-                            let _ = handle_connection(stream, &state);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                    }
-                }
-            })
-            .expect("spawn ops server");
-        Ok(OpsServer {
+        // Ops traffic is trusted and tiny; one request per connection,
+        // handled inline.
+        let accept = AcceptLoop::start(
             addr,
-            stop,
-            handle: Some(handle),
-        })
+            |_| "helios-ops".into(),
+            Duration::from_millis(5),
+            ConnMode::Inline,
+            move |stream, _| {
+                let _ = handle_connection(stream, &state);
+            },
+        )?;
+        Ok(OpsServer { accept })
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for OpsServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.accept.addr()
     }
 }
 
@@ -517,6 +489,7 @@ mod tests {
     use super::*;
     use crate::recorder::EventKind;
     use crate::registry::Registry;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Minimal test-side HTTP client: one request, returns (status line,
     /// body).

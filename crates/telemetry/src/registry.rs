@@ -17,7 +17,7 @@
 //! `mq.lag{group=sew-0-r0,topic=samples-0}`. Labels are sorted by key so
 //! the same logical instrument always renders to the same string.
 
-use helios_metrics::{Histogram, Snapshot, Table};
+use crate::metrics::{Histogram, Snapshot, Table};
 use helios_types::FxHashMap;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;

@@ -7,7 +7,8 @@
 //! Run with: `cargo run --release --example online_inference`
 
 use helios::prelude::*;
-use helios_metrics::Histogram;
+use helios::telemetry::Histogram;
+use helios_gnn::{ModelServer, SageModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example recommendation`
 
 use helios::prelude::*;
-use helios_gnn::{LinkPredictionTrainer, TrainConfig};
+use helios_gnn::{LinkPredictionTrainer, ModelServer, OracleSampler, SageModel, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;

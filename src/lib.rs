@@ -14,23 +14,32 @@
 //! 3. **separating sampling from serving** so both scale independently
 //!    and ingestion bursts cannot disturb serving latency.
 //!
-//! This facade re-exports the workspace crates; see each for details:
+//! The crates, one job each:
 //!
-//! * [`core`] (`helios-core`) — coordinator, sampling workers, serving
-//!   workers, deployment harness: the paper's contribution;
-//! * [`sampling`] — reservoir sampling strategies (Random/TopK/EdgeWeight);
-//! * [`query`] — K-hop query language, decomposition, result types;
-//! * [`mq`] — partitioned message queue (Kafka substitute);
-//! * [`kvstore`] — LSM-style KV store (RocksDB substitute);
-//! * [`actor`] — thread/actor runtime;
-//! * [`netsim`] — network cost model for simulated distribution;
-//! * [`graphstore`] — dynamic graph partitions (the baselines' storage);
-//! * [`graphdb`] — the distributed graph-database baseline;
-//! * [`datagen`] — synthetic datasets with Table 1 shapes;
-//! * [`gnn`] — GraphSAGE training/inference + model serving;
-//! * [`metrics`] — histograms, throughput meters, table printing;
-//! * [`telemetry`] — metrics registry, request/update tracing, and
-//!   pipeline lag monitoring (`HELIOS_STATS=1` / `HELIOS_TRACE=1`).
+//! * `helios-core` — coordinator, sampling and serving tiers, the
+//!   deployment harness and the actor runtime: the paper's contribution;
+//! * `helios-sampling` — reservoir sampling strategies
+//!   (Random/TopK/EdgeWeight), plus the ad-hoc samplers and graph
+//!   partitions the baselines traverse;
+//! * `helios-query` — K-hop query language, decomposition, result types;
+//! * `helios-mq` — partitioned message queue (Kafka substitute);
+//! * `helios-kvstore` — LSM-style KV store (RocksDB substitute);
+//! * `helios-membership` — route tables, epochs and the rescale policy;
+//! * `helios-net` — wire protocol, transports, gateway and the launcher's
+//!   process hosts;
+//! * `helios-telemetry` — metrics registry and instruments, tracing, the
+//!   ops plane (`HELIOS_STATS=1` / `HELIOS_TRACE=1`);
+//! * `helios-datagen` — synthetic datasets with Table 1 shapes;
+//! * `helios-types` — ids, updates, hashing and the error type;
+//! * `helios-graphdb` — the distributed graph-database baseline and its
+//!   network cost model;
+//! * `helios-gnn` — GraphSAGE training/inference + model serving;
+//! * `helios-bench` — the harnesses behind the paper's figures.
+//!
+//! This package is the `helios` launcher (`src/main.rs`) plus a small
+//! facade: [`core`], [`telemetry`] and a [`prelude`] for application
+//! code. It links only what the launcher runs; the examples and tests
+//! pull in `helios-gnn` and `helios-graphdb` themselves.
 //!
 //! ## Quickstart
 //!
@@ -52,26 +61,13 @@
 //! helios.shutdown();
 //! ```
 
-pub use helios_actor as actor;
 pub use helios_core as core;
-pub use helios_datagen as datagen;
-pub use helios_gnn as gnn;
-pub use helios_graphdb as graphdb;
-pub use helios_graphstore as graphstore;
-pub use helios_kvstore as kvstore;
-pub use helios_metrics as metrics;
-pub use helios_mq as mq;
-pub use helios_netsim as netsim;
-pub use helios_query as query;
-pub use helios_sampling as sampling;
 pub use helios_telemetry as telemetry;
-pub use helios_types as types;
 
 /// The most common imports for application code.
 pub mod prelude {
     pub use helios_core::{HeliosConfig, HeliosDeployment};
     pub use helios_datagen::{Dataset, Preset};
-    pub use helios_gnn::{ModelServer, OracleSampler, SageModel};
     pub use helios_query::{parse_query, KHopQuery, SampledSubgraph, SamplingStrategy, Schema};
     pub use helios_types::{
         EdgeType, EdgeUpdate, GraphUpdate, Timestamp, VertexId, VertexType, VertexUpdate,

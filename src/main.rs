@@ -214,7 +214,7 @@ fn cmd_gateway(flags: &Flags) {
         workers,
         sampling: flags.get("sampling").map(str::to_string),
         admission: flags.parse_or("admission", 256usize),
-        route_slots: flags.parse_or("route-slots", config.route_slots as usize),
+        route_slots: config.route_slots as usize,
         probe_timeout: Duration::from_millis(flags.parse_or("probe-timeout-ms", 500u64)),
         ops_addr: config.ops_addr,
     })

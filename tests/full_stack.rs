@@ -3,8 +3,9 @@
 
 use helios::prelude::*;
 use helios_core::HeliosConfig;
+use helios_gnn::{OracleSampler, SageModel};
+use helios_graphdb::netsim::NetworkConfig;
 use helios_graphdb::{GraphDb, GraphDbConfig};
-use helios_netsim::NetworkConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -208,7 +209,7 @@ fn parse_query_drives_deployment() {
 /// (smoke-level sanity that the ML substrate works through the facade).
 #[test]
 fn facade_ml_pipeline_smoke() {
-    use helios::gnn::{auc, LinkPredictionTrainer, TrainConfig};
+    use helios_gnn::{auc, LinkPredictionTrainer, TrainConfig};
 
     let dataset = Preset::Taobao.dataset(0.01);
     let events: Vec<GraphUpdate> = dataset.events().collect();
