@@ -1,6 +1,7 @@
 //! The broker: a registry of topics plus consumer-group offset storage.
 
 use crate::consumer::Consumer;
+use crate::partition::Partition;
 use crate::segment::read_segment;
 use crate::topic::{Topic, TopicConfig};
 use helios_types::{FxHashMap, HeliosError, PartitionId, Result};
@@ -27,7 +28,9 @@ pub struct LagEntry {
 #[derive(Default)]
 pub struct Broker {
     topics: RwLock<FxHashMap<String, Arc<Topic>>>,
-    offsets: RwLock<FxHashMap<OffsetKey, u64>>,
+    /// Committed offsets. Each cell is also registered as a reader of its
+    /// partition: a group that has committed pins the log at its commit.
+    offsets: RwLock<FxHashMap<OffsetKey, Arc<AtomicU64>>>,
     /// Live (uncommitted) consumer positions, shared with the consumers
     /// themselves so the broker can observe lag without polling them.
     positions: RwLock<FxHashMap<OffsetKey, Arc<AtomicU64>>>,
@@ -106,23 +109,20 @@ impl Broker {
     }
 
     /// Create a consumer in `group` reading the given partitions of a
-    /// topic, resuming from committed offsets.
+    /// topic, resuming from committed offsets. Until it is dropped, the
+    /// consumer pins every record from its position on.
     pub fn consumer(
         self: &Arc<Self>,
         group: &str,
         topic: &str,
         partitions: &[PartitionId],
     ) -> Result<Consumer> {
-        let t = self.topic(topic)?;
-        for &p in partitions {
-            t.partition(p)?; // validate
-        }
-        Ok(Consumer::new(
+        Consumer::new(
             Arc::clone(self),
             group.to_string(),
-            t,
+            self.topic(topic)?,
             partitions.to_vec(),
-        ))
+        )
     }
 
     /// Create a consumer over *all* partitions of a topic.
@@ -132,38 +132,63 @@ impl Broker {
         self.consumer(group, topic, &parts)
     }
 
-    pub(crate) fn committed(&self, group: &str, topic: &str, partition: PartitionId) -> u64 {
+    fn committed(&self, group: &str, topic: &str, partition: PartitionId) -> u64 {
         self.offsets
             .read()
             .get(&(group.to_string(), topic.to_string(), partition.0))
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |cell| cell.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn commit(&self, group: &str, topic: &str, partition: PartitionId, offset: u64) {
+    /// Store `group`'s committed offset. The group's first commit on a
+    /// partition registers the committed cell as one of its readers. A
+    /// consumer of a since-deleted topic has nothing left to commit to.
+    pub(crate) fn commit(
+        &self,
+        group: &str,
+        topic: &Arc<Topic>,
+        partition: PartitionId,
+        offset: u64,
+    ) {
+        let Ok(part) = topic.partition(partition) else {
+            return;
+        };
+        if !self
+            .topic(topic.name())
+            .is_ok_and(|live| Arc::ptr_eq(&live, topic))
+        {
+            return;
+        }
         self.offsets
             .write()
-            .insert((group.to_string(), topic.to_string(), partition.0), offset);
+            .entry((group.to_string(), topic.name().to_string(), partition.0))
+            .or_insert_with(|| {
+                let cell = Arc::new(AtomicU64::new(offset));
+                part.add_reader(Arc::clone(&cell));
+                cell
+            })
+            .store(offset, Ordering::Relaxed);
     }
 
-    /// Get-or-create the live position cell for (group, topic, partition)
-    /// and reset it to the group's committed offset — a new consumer
-    /// resumes from the last commit, not from a dead predecessor's
-    /// in-memory position.
+    /// Get-or-create the live position cell for (group, topic, partition),
+    /// reset it to the group's committed offset — a new consumer resumes
+    /// from the last commit, not from a dead predecessor's in-memory
+    /// position — and register it as a reader of the partition. The
+    /// consumer unregisters it when dropped.
     pub(crate) fn register_position(
         &self,
         group: &str,
         topic: &str,
-        partition: PartitionId,
+        partition: &Partition,
     ) -> Arc<AtomicU64> {
-        let committed = self.committed(group, topic, partition);
+        let committed = self.committed(group, topic, partition.id());
         let cell = Arc::clone(
             self.positions
                 .write()
-                .entry((group.to_string(), topic.to_string(), partition.0))
+                .entry((group.to_string(), topic.to_string(), partition.id().0))
                 .or_default(),
         );
         cell.store(committed, Ordering::Relaxed);
+        partition.add_reader(Arc::clone(&cell));
         cell
     }
 
@@ -199,7 +224,7 @@ impl Broker {
                 let key = (group.to_string(), topic.to_string(), p);
                 let pos = match (positions.get(&key), offsets.get(&key)) {
                     (Some(cell), _) => cell.load(Ordering::Relaxed),
-                    (None, Some(&committed)) => committed,
+                    (None, Some(committed)) => committed.load(Ordering::Relaxed),
                     (None, None) => return 0, // not assigned to this group
                 };
                 let end = t
@@ -275,22 +300,24 @@ mod tests {
         for i in 0..10u64 {
             t.produce(i, Bytes::from_static(b"s")).unwrap();
         }
-        let mut c = b.consumer_all("sew-3-r0", "samples-3").unwrap();
-        assert_eq!(c.poll_now(100).len(), 10);
-        c.commit();
-        drop(c);
+        let mut old = b.consumer_all("sew-3-r0", "samples-3").unwrap();
+        assert_eq!(old.poll_now(100).len(), 10);
+        old.commit();
         b.delete_topic("samples-3").unwrap();
         assert!(b.topic("samples-3").is_err());
         assert!(b.delete_topic("samples-3").is_err());
         // Re-created topic: same name, fresh log. The old committed
         // offset (10) must not survive, or this consumer would skip the
-        // new topic's entire contents.
+        // new topic's entire contents — nor may a late commit from a
+        // consumer of the deleted incarnation bring it back.
         let t = b
             .create_topic("samples-3", TopicConfig::in_memory(1))
             .unwrap();
         for i in 0..4u64 {
             t.produce(i, Bytes::from_static(b"fresh")).unwrap();
         }
+        old.commit();
+        drop(old);
         let mut c = b.consumer_all("sew-3-r0", "samples-3").unwrap();
         assert_eq!(c.poll_now(100).len(), 4);
         assert_eq!(b.group_lag("sew-3-r0", "samples-3"), 0);
@@ -318,7 +345,6 @@ mod tests {
         let dir = tmpdir("recover");
         let cfg = TopicConfig {
             partitions: 2,
-            retention_records: 0,
             segment_dir: Some(dir.clone()),
             ..Default::default()
         };

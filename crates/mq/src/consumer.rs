@@ -3,7 +3,7 @@
 use crate::broker::Broker;
 use crate::record::Record;
 use crate::topic::Topic;
-use helios_types::{FxHashMap, PartitionId};
+use helios_types::{FxHashMap, PartitionId, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,7 +15,10 @@ use std::time::{Duration, Instant};
 ///
 /// Positions live in cells shared with the broker, so
 /// [`Broker::group_lag`](crate::Broker::group_lag) sees polls as they
-/// happen without the reporter having to reach into every consumer.
+/// happen without the reporter having to reach into every consumer. The
+/// same cells are registered as readers of their partitions: a poll frees
+/// every record all readers have passed, and dropping the consumer
+/// unregisters its cells so it stops pinning the log.
 pub struct Consumer {
     broker: Arc<Broker>,
     group: String,
@@ -32,19 +35,23 @@ impl Consumer {
         group: String,
         topic: Arc<Topic>,
         partitions: Vec<PartitionId>,
-    ) -> Self {
-        let positions = partitions
+    ) -> Result<Self> {
+        let parts = partitions
             .iter()
-            .map(|&p| (p, broker.register_position(&group, topic.name(), p)))
+            .map(|&p| topic.partition(p))
+            .collect::<Result<Vec<_>>>()?;
+        let positions = parts
+            .into_iter()
+            .map(|p| (p.id(), broker.register_position(&group, topic.name(), p)))
             .collect();
-        Consumer {
+        Ok(Consumer {
             broker,
             group,
             topic,
             partitions,
             positions,
             next_partition: 0,
-        }
+        })
     }
 
     /// The consumer's group name.
@@ -70,13 +77,16 @@ impl Consumer {
                 break;
             }
             let pid = self.partitions[(self.next_partition + step) % n];
-            let pos = self.positions[&pid].load(Ordering::Relaxed);
-            let (recs, next) = match self.topic.partition(pid) {
-                Ok(p) => p.fetch(pos, max - out.len()),
-                Err(_) => continue,
+            let Ok(part) = self.topic.partition(pid) else {
+                continue;
             };
+            let (recs, next) = part.fetch(
+                self.positions[&pid].load(Ordering::Relaxed),
+                max - out.len(),
+            );
             if !recs.is_empty() {
                 self.positions[&pid].store(next, Ordering::Relaxed);
+                part.release_consumed();
                 out.extend(recs);
             }
         }
@@ -126,12 +136,8 @@ impl Consumer {
     /// same group resumes here.
     pub fn commit(&self) {
         for (&pid, cell) in &self.positions {
-            self.broker.commit(
-                &self.group,
-                self.topic.name(),
-                pid,
-                cell.load(Ordering::Relaxed),
-            );
+            self.broker
+                .commit(&self.group, &self.topic, pid, cell.load(Ordering::Relaxed));
         }
     }
 
@@ -140,6 +146,16 @@ impl Consumer {
         for &pid in &self.partitions {
             if let Ok(p) = self.topic.partition(pid) {
                 self.positions[&pid].store(p.end_offset(), Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+impl Drop for Consumer {
+    fn drop(&mut self) {
+        for (&pid, cell) in &self.positions {
+            if let Ok(p) = self.topic.partition(pid) {
+                p.remove_reader(cell);
             }
         }
     }
@@ -206,11 +222,124 @@ mod tests {
         t.produce(1, Bytes::from_static(b"x")).unwrap();
         {
             let mut c = b.consumer_all("g", "t").unwrap();
+            // Committed at 0 before reading: the commit pins the record.
+            c.commit();
             assert_eq!(c.poll_now(10).len(), 1);
-            // no commit
+            // no commit after the poll
         }
         let mut c2 = b.consumer_all("g", "t").unwrap();
         assert_eq!(c2.poll_now(10).len(), 1, "record re-delivered");
+    }
+
+    #[test]
+    fn a_never_committed_groups_successor_resumes_at_the_retained_front() {
+        let (b, t) = setup(1);
+        t.produce(1, Bytes::from_static(b"old")).unwrap();
+        {
+            let mut c = b.consumer_all("g", "t").unwrap();
+            assert_eq!(c.poll_now(10).len(), 1);
+        }
+        t.produce(1, Bytes::from_static(b"new")).unwrap();
+        let mut c2 = b.consumer_all("g", "t").unwrap();
+        let recs = c2.poll_now(10);
+        assert_eq!(recs.len(), 1, "the freed record is not redelivered");
+        assert_eq!((&recs[0].payload[..], recs[0].offset), (&b"new"[..], 1));
+    }
+
+    fn retained(t: &Topic) -> (u64, usize) {
+        let p = t.partition(PartitionId(0)).unwrap();
+        (p.base_offset(), p.len())
+    }
+
+    #[test]
+    fn the_slower_of_two_groups_pins_the_front() {
+        let (b, t) = setup(1);
+        for i in 0..10u64 {
+            t.produce(i, Bytes::from_static(b"r")).unwrap();
+        }
+        let mut fast = b.consumer_all("fast", "t").unwrap();
+        let mut slow = b.consumer_all("slow", "t").unwrap();
+        assert_eq!(slow.poll_now(3).len(), 3);
+        assert_eq!(fast.poll_now(100).len(), 10);
+        assert_eq!(retained(&t), (3, 7), "freed up to the slow group");
+        assert_eq!(slow.poll_now(100).len(), 7);
+        assert_eq!(retained(&t), (10, 0));
+        assert_eq!(b.group_lag("fast", "t") + b.group_lag("slow", "t"), 0);
+    }
+
+    #[test]
+    fn a_consumer_that_never_polls_pins_until_dropped() {
+        let (b, t) = setup(1);
+        let lazy = b.consumer_all("lazy-observer", "t").unwrap();
+        let mut c = b.consumer_all("g", "t").unwrap();
+        for i in 0..10u64 {
+            t.produce(i, Bytes::from_static(b"r")).unwrap();
+        }
+        assert_eq!(c.poll_now(100).len(), 10);
+        assert_eq!(retained(&t), (0, 10), "the idle consumer pins everything");
+        assert_eq!(lazy.lag(), 10);
+        drop(lazy);
+        t.produce(10, Bytes::from_static(b"r")).unwrap();
+        assert_eq!(c.poll_now(100).len(), 1);
+        assert_eq!(retained(&t), (11, 0), "the next poll frees what it pinned");
+        assert_eq!(t.partition(PartitionId(0)).unwrap().end_offset(), 11);
+    }
+
+    #[test]
+    fn a_commit_pins_the_front() {
+        let (b, t) = setup(1);
+        for i in 0..10u64 {
+            t.produce(i, Bytes::from_static(b"r")).unwrap();
+        }
+        let mut c = b.consumer_all("g", "t").unwrap();
+        assert_eq!(c.poll_now(4).len(), 4);
+        c.commit();
+        assert_eq!(c.poll_now(100).len(), 6);
+        assert_eq!(retained(&t), (4, 6), "the commit holds the log at 4");
+        drop(c);
+        let mut c2 = b.consumer_all("g", "t").unwrap();
+        assert_eq!(c2.poll_now(100).len(), 6, "resumes at the commit");
+        c2.commit();
+        assert_eq!(c2.poll_now(100).len(), 0);
+        t.produce(10, Bytes::from_static(b"r")).unwrap();
+        assert_eq!(c2.poll_now(100).len(), 1);
+        assert_eq!(retained(&t), (10, 1), "a newer commit moves the pin");
+    }
+
+    #[test]
+    fn freed_bytes_leave_the_mem_gauge_exactly() {
+        let g = helios_types::MemGauge::new();
+        let b = Broker::new();
+        let t = b
+            .create_topic(
+                "t",
+                TopicConfig {
+                    partitions: 2,
+                    mem: g.clone(),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        let mut c = b.consumer_all("g", "t").unwrap();
+        let mut produced = 0i64;
+        for i in 0..40u64 {
+            let payload = Bytes::from(vec![0u8; i as usize]);
+            produced += (std::mem::size_of::<Record>() + payload.len()) as i64;
+            t.produce(i, payload).unwrap();
+        }
+        assert_eq!(g.get(), produced);
+        let mut freed = 0i64;
+        while freed < produced {
+            let recs = c.poll_now(7);
+            assert!(!recs.is_empty(), "the log drained early");
+            freed += recs.iter().map(|r| r.footprint() as i64).sum::<i64>();
+            assert_eq!(
+                g.get(),
+                produced - freed,
+                "the gauge drops by what was read"
+            );
+        }
+        assert_eq!(g.get(), 0);
     }
 
     #[test]

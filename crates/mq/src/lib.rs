@@ -14,11 +14,17 @@
 //!   same partition and are consumed in order.
 //! * **Consumer groups with committed offsets**: consumers poll batches,
 //!   blocking with a timeout, and commit their positions; a restarted
-//!   consumer resumes from the last commit.
+//!   consumer resumes from the last commit. A group that never committed
+//!   resumes at the retained front (Kafka's `auto.offset.reset=earliest`).
 //! * **Durability (optional)**: a topic may be backed by append-only
 //!   segment files; [`Broker::recover_topic`] replays them on restart.
-//! * **Retention**: partitions retain a bounded number of records,
-//!   truncating from the front like Kafka's size-based retention.
+//! * **Retention**: Helios uses the log only as an ordered FIFO between
+//!   tiers, so a partition keeps just what a reader may still read. Every
+//!   live consumer's position and every committed offset is a registered
+//!   reader; a poll frees the records below their minimum. A consumer
+//!   that never polls pins the log until it is dropped, and a partition
+//!   with no reader keeps everything. Freeing releases memory only:
+//!   durable segments keep every record.
 //!
 //! What is deliberately *not* reproduced: the network protocol, replication,
 //! and rebalancing — Helios's correctness and performance story needs the

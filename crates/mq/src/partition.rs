@@ -1,5 +1,6 @@
-//! A single partition: an in-memory log with offset addressing, bounded
-//! retention, and optional durable segment backing.
+//! A single partition: an in-memory log with offset addressing, a front
+//! that its readers free as they pass it, and optional durable segment
+//! backing.
 
 use crate::record::Record;
 use crate::segment::SegmentWriter;
@@ -8,6 +9,8 @@ use helios_types::{MemGauge, PartitionId, Result};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 #[derive(Debug)]
 struct Inner {
@@ -28,15 +31,17 @@ struct Inner {
 pub struct Partition {
     id: PartitionId,
     inner: Mutex<Inner>,
-    /// Soft cap on retained records (0 = unbounded).
-    retention_records: usize,
+    /// Every position that may still read this partition: live consumer
+    /// positions and committed group offsets. The front is freed below
+    /// their minimum; with no reader, nothing is freed.
+    readers: Mutex<Vec<Arc<AtomicU64>>>,
     /// Mirror of retained bytes for the memory accountant; every
-    /// append/restore/truncation adjusts it, drop releases the rest.
+    /// append/restore/release adjusts it, drop releases the rest.
     mem: MemGauge,
 }
 
 impl Partition {
-    pub(crate) fn new(id: PartitionId, retention_records: usize, mem: MemGauge) -> Self {
+    pub(crate) fn new(id: PartitionId, mem: MemGauge) -> Self {
         Partition {
             id,
             inner: Mutex::new(Inner {
@@ -46,7 +51,7 @@ impl Partition {
                 bytes: 0,
                 segment: None,
             }),
-            retention_records,
+            readers: Mutex::new(Vec::new()),
             mem,
         }
     }
@@ -80,15 +85,6 @@ impl Partition {
         self.mem.add(rec.footprint());
         inner.bytes += rec.footprint();
         inner.log.push_back(rec);
-        if self.retention_records > 0 {
-            while inner.log.len() > self.retention_records {
-                if let Some(old) = inner.log.pop_front() {
-                    inner.bytes -= old.footprint();
-                    self.mem.sub(old.footprint());
-                    inner.base_offset = old.offset + 1;
-                }
-            }
-        }
         Ok(offset)
     }
 
@@ -112,7 +108,7 @@ impl Partition {
     }
 
     /// Fetch up to `max` records starting at `offset`. Returns records and
-    /// the next offset to poll from. If `offset` has been truncated away,
+    /// the next offset to poll from. If `offset` has been freed already,
     /// reading resumes at the retained front (like Kafka's
     /// `auto.offset.reset=earliest`).
     pub fn fetch(&self, offset: u64, max: usize) -> (Vec<Record>, u64) {
@@ -125,6 +121,50 @@ impl Partition {
         let records: Vec<Record> = inner.log.iter().skip(idx).take(max).cloned().collect();
         let next = records.last().map_or(start, |r| r.offset + 1);
         (records, next)
+    }
+
+    /// Register a position that pins every record at or above it.
+    pub(crate) fn add_reader(&self, cell: Arc<AtomicU64>) {
+        self.readers.lock().push(cell);
+    }
+
+    /// Unregister one registration of `cell` (a dropped consumer).
+    pub(crate) fn remove_reader(&self, cell: &Arc<AtomicU64>) {
+        let mut readers = self.readers.lock();
+        if let Some(i) = readers.iter().position(|c| Arc::ptr_eq(c, cell)) {
+            readers.swap_remove(i);
+        }
+    }
+
+    /// Free every retained record below the lowest registered reader
+    /// position. This frees memory only: a durable segment keeps them.
+    /// The records are dropped after the log lock is released, so
+    /// producers never wait on the allocator.
+    pub(crate) fn release_consumed(&self) {
+        let floor = self
+            .readers
+            .lock()
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .min();
+        let Some(floor) = floor else {
+            return;
+        };
+        let _freed: Vec<Record> = {
+            let mut inner = self.inner.lock();
+            let n = floor
+                .min(inner.next_offset)
+                .saturating_sub(inner.base_offset) as usize;
+            if n == 0 {
+                return;
+            }
+            let freed: Vec<Record> = inner.log.drain(..n).collect();
+            let bytes: usize = freed.iter().map(Record::footprint).sum();
+            inner.bytes -= bytes;
+            inner.base_offset += n as u64;
+            self.mem.sub(bytes);
+            freed
+        };
     }
 
     /// Offset that the next appended record will receive (= log end).
@@ -177,14 +217,21 @@ mod tests {
     }
 
     impl Partition {
-        fn new_test(id: PartitionId, retention_records: usize) -> Self {
-            Partition::new(id, retention_records, MemGauge::new())
+        fn new_test(id: PartitionId) -> Self {
+            Partition::new(id, MemGauge::new())
+        }
+
+        /// Register a reader at `pos` and return its cell.
+        fn reader_at(&self, pos: u64) -> Arc<AtomicU64> {
+            let cell = Arc::new(AtomicU64::new(pos));
+            self.add_reader(Arc::clone(&cell));
+            cell
         }
     }
 
     #[test]
     fn offsets_are_dense_and_monotonic() {
-        let p = Partition::new_test(PartitionId(0), 0);
+        let p = Partition::new_test(PartitionId(0));
         for i in 0..10u64 {
             assert_eq!(p.append(i, bytes("x")).unwrap(), i);
         }
@@ -194,7 +241,7 @@ mod tests {
 
     #[test]
     fn fetch_respects_offset_and_max() {
-        let p = Partition::new_test(PartitionId(0), 0);
+        let p = Partition::new_test(PartitionId(0));
         for i in 0..10u64 {
             p.append(i, bytes(&format!("m{i}"))).unwrap();
         }
@@ -211,23 +258,38 @@ mod tests {
     }
 
     #[test]
-    fn retention_truncates_front_and_resets_readers() {
-        let p = Partition::new_test(PartitionId(0), 5);
+    fn release_frees_below_the_lowest_reader_and_fetch_resumes_at_the_front() {
+        let p = Partition::new_test(PartitionId(0));
         for i in 0..20u64 {
             p.append(i, bytes("y")).unwrap();
         }
-        assert_eq!(p.len(), 5);
-        assert_eq!(p.base_offset(), 15);
-        // A reader at a truncated offset resumes at the retained front.
+        p.release_consumed();
+        assert_eq!(p.len(), 20, "no reader registered: nothing is freed");
+        let fast = p.reader_at(15);
+        let slow = p.reader_at(5);
+        p.release_consumed();
+        assert_eq!(
+            (p.base_offset(), p.len()),
+            (5, 15),
+            "the slower reader pins"
+        );
+        p.remove_reader(&slow);
+        p.release_consumed();
+        assert_eq!((p.base_offset(), p.len()), (15, 5));
+        // A position below the front resumes at the retained front.
         let (recs, next) = p.fetch(2, 100);
         assert_eq!(recs.len(), 5);
         assert_eq!(recs[0].offset, 15);
         assert_eq!(next, 20);
+        assert_eq!(p.end_offset(), 20, "freeing never moves the end");
+        fast.store(20, Ordering::Relaxed);
+        p.release_consumed();
+        assert!(p.is_empty());
     }
 
     #[test]
     fn append_stamps_produce_time_but_restore_does_not() {
-        let p = Partition::new_test(PartitionId(0), 0);
+        let p = Partition::new_test(PartitionId(0));
         p.append(0, bytes("fresh")).unwrap();
         p.restore(1, bytes("recovered"));
         let (recs, _) = p.fetch(0, 10);
@@ -238,24 +300,33 @@ mod tests {
     #[test]
     fn mem_gauge_mirrors_retained_bytes_and_drop_releases() {
         let g = MemGauge::new();
-        let p = Partition::new(PartitionId(0), 2, g.clone());
+        let p = Partition::new(PartitionId(0), g.clone());
+        let reader = p.reader_at(0);
         p.append(0, Bytes::from(vec![0u8; 100])).unwrap();
         p.restore(1, Bytes::from(vec![0u8; 100]));
         assert_eq!(g.get(), p.bytes() as i64, "gauge mirrors retained bytes");
         let two = g.get();
         p.append(2, Bytes::from(vec![0u8; 100])).unwrap();
-        assert_eq!(g.get(), two, "retention pop releases the truncated record");
+        reader.store(1, Ordering::Relaxed);
+        p.release_consumed();
+        assert_eq!(g.get(), two, "release frees the passed record");
+        assert_eq!(g.get(), p.bytes() as i64);
         drop(p);
         assert_eq!(g.get(), 0, "drop returns everything to the accountant");
     }
 
     #[test]
     fn byte_accounting_tracks_retention() {
-        let p = Partition::new_test(PartitionId(0), 2);
+        let p = Partition::new_test(PartitionId(0));
+        let reader = p.reader_at(0);
         p.append(0, Bytes::from(vec![0u8; 1000])).unwrap();
         p.append(1, Bytes::from(vec![0u8; 1000])).unwrap();
         let two = p.bytes();
-        p.append(2, Bytes::from(vec![0u8; 1000])).unwrap();
-        assert_eq!(p.bytes(), two, "retention keeps byte count bounded");
+        for i in 2..10u64 {
+            p.append(i, Bytes::from(vec![0u8; 1000])).unwrap();
+            reader.store(i - 1, Ordering::Relaxed);
+            p.release_consumed();
+            assert_eq!(p.bytes(), two, "a reader two behind keeps two records");
+        }
     }
 }

@@ -13,8 +13,6 @@ use std::time::{Duration, Instant};
 pub struct TopicConfig {
     /// Number of partitions (≥ 1).
     pub partitions: u32,
-    /// Per-partition retained record cap (0 = unbounded).
-    pub retention_records: usize,
     /// If set, partitions are backed by segment files under this directory
     /// and can be recovered after restart.
     pub segment_dir: Option<PathBuf>,
@@ -28,7 +26,6 @@ impl Default for TopicConfig {
     fn default() -> Self {
         TopicConfig {
             partitions: 1,
-            retention_records: 0,
             segment_dir: None,
             mem: MemGauge::new(),
         }
@@ -62,7 +59,7 @@ impl Topic {
             )));
         }
         let partitions: Vec<Partition> = (0..config.partitions)
-            .map(|i| Partition::new(PartitionId(i), config.retention_records, config.mem.clone()))
+            .map(|i| Partition::new(PartitionId(i), config.mem.clone()))
             .collect();
         if let Some(dir) = &config.segment_dir {
             for p in &partitions {

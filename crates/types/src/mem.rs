@@ -3,7 +3,7 @@
 //! A [`MemGauge`] is a cheap, cloneable handle to a shared signed byte
 //! counter. Components adjust it with one relaxed atomic RMW at the
 //! exact site where bytes are allocated or freed (memtable insert, block
-//! cache evict, mq retention pop, …), so the gauge tracks *measured*
+//! cache evict, mq release of consumed records, …), so the gauge tracks *measured*
 //! occupancy rather than a config knob. The telemetry crate's
 //! `MemAccountant` collects these handles per component and exports them
 //! as `mem.bytes{component,…}` registry gauges; this type lives in

@@ -247,7 +247,8 @@ fn multiprocess_deployment_serves_and_sheds_on_worker_death() {
 
     // Every serve worker exports its memory ledger — caches, the serving
     // threads' scratch and its local sample queue — once a stats tick has
-    // run since the serves above.
+    // run since the serves above. The pipeline has drained, so the sample
+    // queue's updaters have passed every record and its log holds none.
     for worker in [&worker0, &worker1] {
         let ops = worker
             .ops
@@ -256,9 +257,8 @@ fn multiprocess_deployment_serves_and_sheds_on_worker_death() {
         let deadline = Instant::now() + Duration::from_secs(10);
         let metrics = loop {
             let metrics = http_get(ops, "/metrics");
-            let ready = ["serve_scratch", "mq_log"]
-                .iter()
-                .all(|c| mem_bytes(&metrics, c).is_some_and(|b| b > 0.0));
+            let ready = mem_bytes(&metrics, "serve_scratch").is_some_and(|b| b > 0.0)
+                && mem_bytes(&metrics, "mq_log") == Some(0.0);
             if ready || Instant::now() > deadline {
                 break metrics;
             }
@@ -276,12 +276,15 @@ fn multiprocess_deployment_serves_and_sheds_on_worker_death() {
                 "serve worker at {ops} exports no mem.bytes for {component}"
             );
         }
-        for component in ["serve_scratch", "mq_log"] {
-            assert!(
-                mem_bytes(&metrics, component).unwrap() > 0.0,
-                "serve worker at {ops}: mem.bytes{{component={component}}} is 0"
-            );
-        }
+        assert!(
+            mem_bytes(&metrics, "serve_scratch").unwrap() > 0.0,
+            "serve worker at {ops}: mem.bytes{{component=serve_scratch}} is 0"
+        );
+        let log = mem_bytes(&metrics, "mq_log").unwrap();
+        assert_eq!(
+            log, 0.0,
+            "serve worker at {ops}: mem.bytes{{component=mq_log}} is {log} after the drain"
+        );
         // Which probes run, not whether they pass: the suite also runs
         // under a deliberately tiny memory budget.
         let components = probed(&http_get(ops, "/healthz"));

@@ -1,8 +1,8 @@
 //! Resource-observability integration tests: the memory ledger tracking
 //! reference byte counts across ingest → flush → evict, `/healthz`
 //! flipping under sustained budget pressure (and recovering on drain),
-//! the accounting surviving a rescale soak, and `/profile` naming the
-//! fleet's threads.
+//! the accounting surviving a rescale soak, the mq log staying bounded
+//! across ingest rounds, and `/profile` naming the fleet's threads.
 
 use helios_core::{HeliosConfig, HeliosDeployment};
 use helios_query::{KHopQuery, SamplingStrategy};
@@ -317,6 +317,44 @@ fn mem_accounting_survives_rescale_soak() {
         );
     }
 
+    helios.shutdown();
+}
+
+/// Soak: the same workload ingested in five rounds, quiescing after each.
+/// Every record is freed once all its readers have passed it, so the mq
+/// log after round five is no larger than after round one plus one
+/// round's records. One round's records are measured at the end, with an
+/// observer group that registers on every partition and never polls.
+#[test]
+fn mq_log_stays_bounded_across_ingest_rounds() {
+    let mut config = HeliosConfig::with_workers(1, 1);
+    config.stats_interval = None;
+    let helios = HeliosDeployment::start(config, two_hop_query()).unwrap();
+    let acct = helios.mem_accountant().clone();
+    let round = |n: u32| -> i64 {
+        helios.ingest_batch(&small_workload(300)).unwrap();
+        assert!(helios.quiesce(Duration::from_secs(60)), "round {n}");
+        acct.export();
+        let bytes = acct.component_bytes("mq_log");
+        assert_eq!(bytes, broker_log_bytes(&helios), "round {n}: gauge");
+        bytes
+    };
+
+    let after: Vec<i64> = (1..=5).map(round).collect();
+
+    let observers: Vec<_> = helios
+        .broker()
+        .topic_names()
+        .iter()
+        .map(|t| helios.broker().consumer_all("soak-observer", t).unwrap())
+        .collect();
+    let one_round = round(6) - after[4];
+    assert!(one_round > 0, "the observers pinned nothing");
+    assert!(
+        after[4] <= after[0] + one_round,
+        "mq log grew across rounds: {after:?}, one round {one_round} B"
+    );
+    drop(observers);
     helios.shutdown();
 }
 
