@@ -42,6 +42,11 @@ pub const SAMPLE_QUEUE_PARTITIONS: u32 = 2;
 pub const POLL_BATCH: usize = 1024;
 /// How long an idle worker consumer's poll waits (its idle wake-up period).
 pub const POLL_TIMEOUT: Duration = Duration::from_millis(20);
+/// Most updates the sampling workers may have appended but not finished
+/// before ingest waits for them. Without it a producer faster than the
+/// samplers parks its whole lead in the update log and the shard
+/// mailboxes, and peak memory follows scheduling luck.
+pub const MAX_PENDING_UPDATES: u64 = 16 * POLL_BATCH as u64;
 /// Capacity of the flight-recorder event ring (always on; a few KB).
 pub const FLIGHT_RECORDER_CAPACITY: usize = 4096;
 /// `/healthz`: max total sampling-shard mailbox backlog, and max drain

@@ -20,7 +20,8 @@
 
 use crate::actor::Liveness;
 use crate::config::{
-    HeliosConfig, HEALTH_MAX_BACKLOG, HEALTH_WORKER_TIMEOUT, SAMPLE_QUEUE_PARTITIONS,
+    HeliosConfig, HEALTH_MAX_BACKLOG, HEALTH_WORKER_TIMEOUT, MAX_PENDING_UPDATES, POLL_BATCH,
+    SAMPLE_QUEUE_PARTITIONS,
 };
 use crate::coordinator::Coordinator;
 use crate::messages::UpdateEnvelope;
@@ -40,6 +41,7 @@ use parking_lot::RwLock;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Topology a checkpoint was taken under, written alongside the shard
 /// files so a restore into a different deployment shape is detected
@@ -231,9 +233,40 @@ impl SamplingTier {
         }
     }
 
-    /// Ingest a batch in order, stopping at the first failure.
+    /// Ingest a batch in order, stopping at the first failure. Before each
+    /// [`POLL_BATCH`] of it, wait until at most [`MAX_PENDING_UPDATES`]
+    /// appended updates are unfinished, so the memory a burst holds in
+    /// flight is bounded by that, not by how far ingest outruns sampling.
     pub fn ingest_batch(&self, updates: &[GraphUpdate]) -> Result<()> {
-        updates.iter().try_for_each(|u| self.ingest(u))
+        for chunk in updates.chunks(POLL_BATCH) {
+            self.await_sampling_headroom();
+            chunk.iter().try_for_each(|u| self.ingest(u))?;
+        }
+        Ok(())
+    }
+
+    /// Updates the sampling workers finished (corrupt ones included).
+    fn updates_done(&self) -> u64 {
+        self.workers
+            .iter()
+            .map(|w| w.metrics().updates_processed.get())
+            .sum()
+    }
+
+    /// Block while more than [`MAX_PENDING_UPDATES`] appended updates are
+    /// unfinished. Samplers that finish nothing for
+    /// [`HEALTH_WORKER_TIMEOUT`] (stopped or wedged) are not waited for.
+    fn await_sampling_headroom(&self) {
+        let (mut done, mut since) = (self.updates_done(), Instant::now());
+        while self.updates.total_end_offset().saturating_sub(done) > MAX_PENDING_UPDATES {
+            std::thread::sleep(Duration::from_millis(1));
+            let now_done = self.updates_done();
+            if now_done != done {
+                (done, since) = (now_done, Instant::now());
+            } else if since.elapsed() >= HEALTH_WORKER_TIMEOUT {
+                return;
+            }
+        }
     }
 
     fn produce(&self, update: GraphUpdate, rv: VertexId) -> Result<()> {
@@ -333,11 +366,7 @@ impl SamplingTier {
             .collect();
         Watermarks {
             updates_end,
-            updates_done: self
-                .workers
-                .iter()
-                .map(|w| w.metrics().updates_processed.get())
-                .sum(),
+            updates_done: self.updates_done(),
             control_end,
             control_done: self
                 .workers
@@ -868,5 +897,47 @@ mod tests {
         w.queues[0].applied = 9;
         assert!(!w.drained(), "an over-count is not a drain");
         assert_eq!(w.deficit(), 3);
+    }
+
+    #[test]
+    fn ingest_holds_back_while_the_samplers_are_behind() {
+        use helios_query::SamplingStrategy;
+        use helios_types::{EdgeType, EdgeUpdate, Timestamp, VertexType};
+
+        let config = HeliosConfig::with_workers(1, 1);
+        let query = KHopQuery::builder(VertexType(0))
+            .hop(EdgeType(0), VertexType(1), 2, SamplingStrategy::Random)
+            .hop(EdgeType(0), VertexType(1), 2, SamplingStrategy::Random)
+            .build()
+            .unwrap();
+        let mut plane = OpsPlane::new(&config);
+        let mut tier = SamplingTier::create(&config).unwrap();
+        tier.start_workers(&query, &Coordinator::new(query.clone()), &plane, None)
+            .unwrap();
+        // Far more than the samplers finish while they are appended.
+        let edges: Vec<GraphUpdate> = (0..8 * MAX_PENDING_UPDATES)
+            .map(|i| {
+                GraphUpdate::Edge(EdgeUpdate {
+                    etype: EdgeType(0),
+                    src_type: VertexType(0),
+                    src: VertexId(i % 4096),
+                    dst_type: VertexType(1),
+                    dst: VertexId(i % 64),
+                    ts: Timestamp(i),
+                    weight: 1.0,
+                })
+            })
+            .collect();
+        tier.ingest_batch(&edges).unwrap();
+        let marks = tier.watermarks(1);
+        // The last chunk went in once at most MAX_PENDING_UPDATES were
+        // unfinished; each edge is appended at most twice.
+        let pending = marks.updates_end - marks.updates_done;
+        assert!(
+            pending <= MAX_PENDING_UPDATES + 2 * POLL_BATCH as u64,
+            "{pending} updates unfinished when ingest returned"
+        );
+        tier.shutdown();
+        plane.shutdown();
     }
 }
