@@ -6,7 +6,8 @@
 //!
 //! Three primitives:
 //!
-//! * [`spawn`] — one actor on one named thread with a typed mailbox;
+//! * [`spawn`] — one actor on one named thread with a typed mailbox,
+//!   handled one drain at a time (see [`Actor::flush`]);
 //! * [`ShardedPool`] — N actors, each owning a *shard* of a key space;
 //!   messages are routed by key hash, so per-key state (reservoir tables!)
 //!   needs no locking and per-key message order is preserved;
@@ -14,6 +15,7 @@
 //!   dead workers (§4.1: "monitors the liveliness of all workers via
 //!   heartbeats").
 
+use crate::config::POLL_BATCH;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,13 +24,20 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// An actor processes messages of one type, sequentially, on its own
-/// thread.
+/// thread. It works in drains: when it wakes it handles the messages
+/// waiting in its mailbox, at most [`POLL_BATCH`] of them, then
+/// [`Actor::flush`]es.
 pub trait Actor: Send + 'static {
     /// Mailbox message type.
     type Msg: Send + 'static;
 
     /// Handle one message.
     fn handle(&mut self, msg: Self::Msg);
+
+    /// Called after each drain (and before the thread exits when a
+    /// drain ends at a stop): emit whatever the drain's messages left
+    /// owed, so one drain produces its output once.
+    fn flush(&mut self) {}
 
     /// Called once on the actor's own thread before the first message
     /// (e.g. to register with a thread-local profiler registry).
@@ -83,10 +92,29 @@ pub fn spawn<A: Actor>(name: &str, mut actor: A) -> ActorHandle<A::Msg> {
         .name(thread_name.clone())
         .spawn(move || {
             actor.on_start();
-            while let Ok(env) = rx.recv() {
-                match env {
-                    Envelope::Msg(m) => actor.handle(m),
-                    Envelope::Stop => break,
+            let mut stopping = false;
+            while !stopping {
+                let Ok(mut env) = rx.recv() else { break };
+                let mut handled = 0;
+                loop {
+                    match env {
+                        Envelope::Msg(m) => actor.handle(m),
+                        Envelope::Stop => {
+                            stopping = true;
+                            break;
+                        }
+                    }
+                    handled += 1;
+                    if handled == POLL_BATCH {
+                        break;
+                    }
+                    match rx.try_recv() {
+                        Ok(next) => env = next,
+                        Err(_) => break,
+                    }
+                }
+                if handled > 0 {
+                    actor.flush();
                 }
             }
             actor.on_stop();
@@ -387,6 +415,47 @@ mod tests {
         // Deregistering an unknown name is a no-op.
         live.deregister("serving-9");
         assert_eq!(live.worker_count(), 1);
+    }
+
+    /// Records the size of each drain it flushes.
+    struct Drains {
+        gate: crossbeam::channel::Receiver<()>,
+        handled: usize,
+        flushed: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl Actor for Drains {
+        type Msg = u64;
+        fn handle(&mut self, msg: u64) {
+            if msg == 0 {
+                let _ = self.gate.recv();
+            }
+            self.handled += 1;
+        }
+        fn flush(&mut self) {
+            self.flushed.lock().push(std::mem::take(&mut self.handled));
+        }
+    }
+
+    #[test]
+    fn drains_are_capped_at_poll_batch_and_flushed_once_each() {
+        let (open, gate) = crossbeam::channel::bounded(1);
+        let flushed = Arc::new(Mutex::new(Vec::new()));
+        let h = spawn(
+            "drains",
+            Drains {
+                gate,
+                handled: 0,
+                flushed: Arc::clone(&flushed),
+            },
+        );
+        // Message 0 holds the actor until the rest wait behind it.
+        for i in 0..=2 * POLL_BATCH as u64 {
+            assert!(h.send(i));
+        }
+        open.send(()).unwrap();
+        h.stop();
+        assert_eq!(*flushed.lock(), vec![POLL_BATCH, POLL_BATCH, 1]);
     }
 
     #[test]

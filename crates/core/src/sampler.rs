@@ -9,15 +9,19 @@
 //! * **sampling threads** — a [`ShardedPool`], each shard exclusively
 //!   owning a slice of the key space with its per-hop reservoir tables,
 //!   feature table and subscription tables (no locks on the hot path);
-//!   publishing to the output queues happens inline (the `helios-mq`
-//!   produce path is a short critical section, so a separate publisher
-//!   stage would only add a hop).
+//!   publishing to the output queues happens once per drain. A shard
+//!   handles the messages waiting in its mailbox (at most `POLL_BATCH`),
+//!   then flushes: one record per `(hop, key, serving worker)` and per
+//!   `(vertex, serving worker)` the drain changed, carrying the state at
+//!   the end of the drain, in one produce per sample queue, and the net
+//!   refcount change per subscription target in one control produce. A
+//!   hot key that takes a thousand edges in one drain is sent once.
 //!
 //! Subscription propagation implements §5.3 / Fig. 7 with refcounts: a
 //! serving worker's subscription to `(hop k, vertex)` exists as long as at
 //! least one upstream reservoir it subscribes to contains that vertex.
 
-use crate::actor::{Beacon, ShardedPool};
+use crate::actor::{Actor, Beacon, ShardedPool};
 use crate::config::{HeliosConfig, POLL_BATCH, POLL_TIMEOUT};
 use crate::messages::{now_nanos, ControlMsg, SampleEntryLite, SampleMsg, UpdateEnvelope};
 use crate::to_reservoir_strategy;
@@ -37,6 +41,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Topic names shared between the deployment and the workers.
 pub mod topics {
@@ -61,13 +66,15 @@ pub mod topics {
 pub struct SamplerMetrics {
     /// Update records dispatched by the polling thread.
     pub updates_dispatched: Arc<Counter>,
-    /// Update records fully processed by sampling threads.
+    /// Update records fully processed by sampling threads: counted when
+    /// the drain that handled them has flushed its output.
     pub updates_processed: Arc<Counter>,
     /// Control records dispatched by the control polling thread.
     pub control_dispatched: Arc<Counter>,
-    /// Control records fully processed.
+    /// Control records fully processed (counted at flush, like updates).
     pub control_processed: Arc<Counter>,
-    /// Sample/feature messages published to serving workers.
+    /// Sample/feature records published to serving workers, after each
+    /// drain coalesced them to one per `(hop, key)` or vertex and worker.
     pub published: Arc<Counter>,
     /// Per-sampling-thread busy nanoseconds. On a machine with fewer
     /// cores than threads, `max` over these is the critical-path compute
@@ -81,9 +88,10 @@ pub struct SamplerMetrics {
     /// Shard time spent mutating local state per update (reservoir offer,
     /// feature upsert) — the update path's "sampler-apply" stage.
     pub apply_latency: Arc<Histogram>,
-    /// Shard time spent fanning the change out to subscribers (sample
-    /// publishes + control ripple) — the "samples-propagate" stage.
-    /// `apply + propagate` = total shard processing time per update.
+    /// Shard time spent flushing a drain's owed records and net control
+    /// messages — the "samples-propagate" stage, one observation per
+    /// flush. The sum of `apply` and `propagate` is the shard's stream
+    /// processing time.
     pub propagate_latency: Arc<Histogram>,
 }
 
@@ -164,6 +172,29 @@ struct Ctx {
 }
 
 impl Ctx {
+    fn new(
+        worker: SamplingWorkerId,
+        m: usize,
+        query: &KHopQuery,
+        broker: &Arc<Broker>,
+        router: Arc<Router>,
+        metrics: Arc<SamplerMetrics>,
+        recorder: Arc<FlightRecorder>,
+    ) -> Result<Ctx> {
+        Ok(Ctx {
+            worker,
+            m,
+            router,
+            dag: query.dag(),
+            seed_type: query.seed_type(),
+            broker: Arc::clone(broker),
+            sample_topics: RwLock::new(FxHashMap::default()),
+            control_topic: broker.topic(topics::CONTROL)?,
+            metrics,
+            recorder,
+        })
+    }
+
     #[inline]
     fn sew_of(&self, v: VertexId) -> ServingWorkerId {
         self.router.owner_of(v)
@@ -172,7 +203,7 @@ impl Ctx {
     /// Resolve the sample topic of `sew`. Only workers inside the
     /// currently *committed* table are cached: during a scale-out's
     /// prepare window (and a scale-in's drain window) the joining or
-    /// departing worker's topic is looked up per publish, so deleting and
+    /// departing worker's topic is looked up per flush, so deleting and
     /// re-creating `samples-<sew>` across rescale cycles is always seen.
     fn sample_topic(&self, sew: u32) -> Option<Arc<helios_mq::Topic>> {
         if let Some(t) = self.sample_topics.read().get(&sew) {
@@ -192,23 +223,19 @@ impl Ctx {
             .retain(|sew, _| *sew < live_workers);
     }
 
-    fn publish_sample(&self, sew: ServingWorkerId, msg: &SampleMsg) {
-        self.publish_sample_raw(sew, msg.routing_key(), msg.encode_to_bytes());
-    }
-
-    /// Publish an already-encoded message (lets multi-subscriber fan-out
-    /// encode once and clone the frozen buffer). Publishes to a departed
-    /// worker (topic deleted) are dropped silently: its cache is gone.
-    fn publish_sample_raw(&self, sew: ServingWorkerId, key: u64, payload: bytes::Bytes) {
-        if let Some(topic) = self.sample_topic(sew.0) {
-            let _ = topic.produce(key, payload);
-            self.metrics.published.incr();
+    /// Append a drain's records for `sew` with one produce, waking its
+    /// consumers once. Records for a departed worker (topic deleted) are
+    /// dropped silently: its cache is gone.
+    fn publish_samples(&self, sew: u32, records: Vec<(u64, bytes::Bytes)>) {
+        if let Some(topic) = self.sample_topic(sew) {
+            let landed = topic.produce_many(records).unwrap_or(0);
+            self.metrics.published.add(landed as u64);
         }
     }
 
     /// Send a batch of control messages, waking control consumers once
     /// for the whole batch ([`helios_mq::Topic::produce_many_to`])
-    /// instead of once per message. Per-vertex order is preserved.
+    /// instead of once per message.
     fn send_controls(&self, msgs: impl IntoIterator<Item = ControlMsg>) {
         let _ = self
             .control_topic
@@ -217,6 +244,74 @@ impl Ctx {
                 let partition = PartitionId(route(v.raw(), self.m) as u32);
                 (partition, v.raw(), msg.encode_to_bytes())
             }));
+    }
+}
+
+/// One refcount that a control message moves on the owner of its vertex.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum SubTarget {
+    Samples(QueryHopId, VertexId, ServingWorkerId),
+    Feature(VertexId, ServingWorkerId),
+}
+
+impl SubTarget {
+    /// The message that moves this refcount up (`subscribe`) or down.
+    fn msg(self, subscribe: bool) -> ControlMsg {
+        match (self, subscribe) {
+            (SubTarget::Samples(hop, vertex, sew), true) => {
+                ControlMsg::SubscribeSamples { hop, vertex, sew }
+            }
+            (SubTarget::Samples(hop, vertex, sew), false) => {
+                ControlMsg::UnsubscribeSamples { hop, vertex, sew }
+            }
+            (SubTarget::Feature(vertex, sew), true) => ControlMsg::SubscribeFeature { vertex, sew },
+            (SubTarget::Feature(vertex, sew), false) => {
+                ControlMsg::UnsubscribeFeature { vertex, sew }
+            }
+        }
+    }
+}
+
+/// Queue `delta` on the subscriptions `sew` holds because `neighbor` is
+/// sampled under `hop`: its feature, and its samples on every downstream
+/// hop.
+fn ripple(
+    controls: &mut FxHashMap<SubTarget, i64>,
+    dag: &QueryDag,
+    hop: QueryHopId,
+    neighbor: VertexId,
+    sew: ServingWorkerId,
+    delta: i64,
+) {
+    *controls
+        .entry(SubTarget::Feature(neighbor, sew))
+        .or_insert(0) += delta;
+    for d in dag.downstream(hop) {
+        *controls
+            .entry(SubTarget::Samples(d.hop, neighbor, sew))
+            .or_insert(0) += delta;
+    }
+}
+
+/// The serving workers a drain owes a record for one cache key, and the
+/// cause that record carries: the earliest non-zero enqueue stamp among
+/// the updates that changed the key, with that update's trace.
+#[derive(Default)]
+struct Owed {
+    sews: Vec<u32>,
+    caused_at: u64,
+    trace: TraceCtx,
+}
+
+impl Owed {
+    fn mark(&mut self, sew: u32, caused_at: u64, trace: TraceCtx) {
+        if !self.sews.contains(&sew) {
+            self.sews.push(sew);
+        }
+        if caused_at != 0 && (self.caused_at == 0 || caused_at < self.caused_at) {
+            self.caused_at = caused_at;
+            self.trace = trace;
+        }
     }
 }
 
@@ -278,6 +373,12 @@ pub struct ShardSnapshot {
 }
 
 /// One sampling thread's exclusive state.
+///
+/// A shard publishes nothing while it handles a drain. Every event that
+/// changes what a serving worker should hold for a cache key marks the
+/// key owed to that worker; every subscription change adds to a net
+/// refcount delta per target. [`Actor::flush`] turns both into records at
+/// the end of the drain, from the state at that point.
 struct SamplerShard {
     ctx: Arc<Ctx>,
     shard_idx: usize,
@@ -296,9 +397,19 @@ struct SamplerShard {
     /// the seeds whose owner changed.
     seeds: FxHashMap<VertexId, u32>,
     rng: StdRng,
-    /// Nanoseconds the current update spent fanning out to subscribers
-    /// (reset per update; see `apply_latency`/`propagate_latency`).
-    propagate_ns: u64,
+    /// Sample cells the current drain changed for some serving worker.
+    owed_samples: FxHashMap<(QueryHopId, VertexId), Owed>,
+    /// Feature cells the current drain changed for some serving worker.
+    owed_features: FxHashMap<VertexId, Owed>,
+    /// Net refcount change per subscription target over the current
+    /// drain. Every subscription change, immediate or cascaded, lands
+    /// here in handling order, so between two flushes this shard's share
+    /// of a remote refcount moves one way only and never reads negative.
+    controls: FxHashMap<SubTarget, i64>,
+    /// Update and control messages handled since the last flush; they
+    /// count as processed only once their output is sent.
+    unflushed_updates: u64,
+    unflushed_controls: u64,
     /// Profiler registration, held for the shard thread's lifetime
     /// (populated by `on_start` on the actor's own thread).
     profile_token: Option<helios_types::profile::ThreadToken>,
@@ -323,7 +434,11 @@ impl SamplerShard {
             feat_subs: SubTable::default(),
             seeds: FxHashMap::default(),
             rng: StdRng::seed_from_u64(seed ^ 0x4845_4C49_4F53_u64),
-            propagate_ns: 0,
+            owed_samples: FxHashMap::default(),
+            owed_features: FxHashMap::default(),
+            controls: FxHashMap::default(),
+            unflushed_updates: 0,
+            unflushed_controls: 0,
             profile_token: None,
         }
     }
@@ -339,6 +454,28 @@ impl SamplerShard {
             .collect()
     }
 
+    /// Run a non-stream operation. It sees, checkpoints or changes the
+    /// state the serving workers were last sent, so the drain so far is
+    /// flushed first, and what the operation changes is sent before the
+    /// caller acks.
+    fn between_flushes<R>(&mut self, op: impl FnOnce(&mut Self) -> R) -> R {
+        self.flush();
+        let start = Instant::now();
+        let result = op(self);
+        self.charge_busy(start);
+        self.flush();
+        result
+    }
+
+    /// Add the time since `since` to this shard's busy counter; returns it.
+    fn charge_busy(&self, since: Instant) -> u64 {
+        let ns = since.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        if let Some(cell) = self.ctx.metrics.shard_busy_nanos.get(self.shard_idx) {
+            cell.add(ns);
+        }
+        ns
+    }
+
     // ---- update handling (§5.2) ----
 
     fn handle_vertex(&mut self, v: &VertexUpdate, caused_at: u64, trace: TraceCtx) {
@@ -349,22 +486,12 @@ impl SamplerShard {
             // arrive, the hop-0 samples — to answer requests on v).
             self.ensure_seed_sub(v.id);
         }
-        let mut fanout_ns = 0u64;
         if let Some(subs) = self.feat_subs.get(&v.id) {
-            let fanout_start = std::time::Instant::now();
-            let msg = SampleMsg::FeatureUpdate {
-                vertex: v.id,
-                feature: v.feature.clone(),
-                ts: v.ts,
-                caused_at,
-                trace,
-            };
+            let owed = self.owed_features.entry(v.id).or_default();
             for &sew in subs.keys() {
-                self.ctx.publish_sample(ServingWorkerId(sew), &msg);
+                owed.mark(sew, caused_at, trace);
             }
-            fanout_ns = fanout_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         }
-        self.propagate_ns += fanout_ns;
     }
 
     fn handle_edge(&mut self, e: &EdgeUpdate, caused_at: u64, trace: TraceCtx) {
@@ -396,8 +523,8 @@ impl SamplerShard {
         }
     }
 
-    /// Publish the new reservoir contents to every subscriber and ripple
-    /// subscribe/unsubscribe messages for the entering/evicted samples.
+    /// Owe every subscriber of `(hop, key)` the new reservoir and queue
+    /// the refcount moves for the entering and evicted samples.
     fn on_reservoir_change(
         &mut self,
         hop: QueryHopId,
@@ -407,67 +534,27 @@ impl SamplerShard {
         caused_at: u64,
         trace: TraceCtx,
     ) {
-        let entries = Self::lite_entries(self.reservoirs[hop.index()].samples(key));
-        let subs: Vec<u32> = self.sample_subs[hop.index()]
-            .get(&key)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default();
-        if subs.is_empty() {
+        let Some(subs) = self.sample_subs[hop.index()].get(&key) else {
             return;
-        }
-        let fanout_start = std::time::Instant::now();
-        let _fanout_span = span("sampler.fanout", trace);
-        self.ctx.recorder.record(
-            EventKind::HopExpanded,
-            self.ctx.worker.0,
-            u64::from(hop.0),
-            key.raw(),
-            subs.len() as u64,
-        );
-        let downstream: Vec<QueryHopId> = self.ctx.dag.downstream(hop).map(|d| d.hop).collect();
-        let msg = SampleMsg::SampleUpdate {
-            hop,
-            key,
-            entries,
-            caused_at,
-            trace,
         };
-        let payload = msg.encode_to_bytes();
-        let routing_key = msg.routing_key();
-        let mut controls: Vec<ControlMsg> = Vec::new();
-        for &sew_raw in &subs {
-            let sew = ServingWorkerId(sew_raw);
-            self.ctx
-                .publish_sample_raw(sew, routing_key, payload.clone());
+        let owed = self.owed_samples.entry((hop, key)).or_default();
+        for &sew in subs.keys() {
+            owed.mark(sew, caused_at, trace);
+            let sew = ServingWorkerId(sew);
             if let Some(new_neighbor) = added {
-                controls.push(ControlMsg::SubscribeFeature {
-                    vertex: new_neighbor,
-                    sew,
-                });
-                for &d in &downstream {
-                    controls.push(ControlMsg::SubscribeSamples {
-                        hop: d,
-                        vertex: new_neighbor,
-                        sew,
-                    });
-                }
+                ripple(&mut self.controls, &self.ctx.dag, hop, new_neighbor, sew, 1);
             }
             if let Some(old_neighbor) = evicted {
-                controls.push(ControlMsg::UnsubscribeFeature {
-                    vertex: old_neighbor,
+                ripple(
+                    &mut self.controls,
+                    &self.ctx.dag,
+                    hop,
+                    old_neighbor,
                     sew,
-                });
-                for &d in &downstream {
-                    controls.push(ControlMsg::UnsubscribeSamples {
-                        hop: d,
-                        vertex: old_neighbor,
-                        sew,
-                    });
-                }
+                    -1,
+                );
             }
         }
-        self.ctx.send_controls(controls);
-        self.propagate_ns += fanout_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     }
 
     // ---- subscription handling (§5.3) ----
@@ -498,7 +585,7 @@ impl SamplerShard {
     /// sub's presence — only charges ever create hop-0 subs (there is no
     /// transitive `SubscribeSamples{hop: 0}`), so presence means "already
     /// charged" and a Prepare-then-Commit double charge is a no-op. The
-    /// subscribe path pushes reservoir/feature snapshots (§5.3,
+    /// subscribe path owes `sew` the reservoir/feature snapshots (§5.3,
     /// idempotent), which is exactly the bootstrap a joining worker needs.
     fn charge_seed(&mut self, seed: VertexId, sew: ServingWorkerId) {
         let charged = self.sample_subs[0]
@@ -531,34 +618,16 @@ impl SamplerShard {
             .or_insert(0);
         *rc += 1;
         let first = *rc == 1;
-        // Snapshot push (idempotent) so the subscriber converges
-        // even if it subscribed mid-stream.
-        let entries = Self::lite_entries(self.reservoirs[hop.index()].samples(vertex));
-        let neighbors: Vec<VertexId> = entries.iter().map(|e| e.neighbor).collect();
-        self.ctx.publish_sample(
-            sew,
-            &SampleMsg::SampleUpdate {
-                hop,
-                key: vertex,
-                entries,
-                caused_at: 0,
-                trace: TraceCtx::NONE,
-            },
-        );
+        // Every subscribe owes a snapshot (idempotent), so the subscriber
+        // converges even if it subscribed mid-stream.
+        self.owed_samples
+            .entry((hop, vertex))
+            .or_default()
+            .mark(sew.0, 0, TraceCtx::NONE);
         if first {
-            let downstream: Vec<QueryHopId> = self.ctx.dag.downstream(hop).map(|d| d.hop).collect();
-            let mut controls: Vec<ControlMsg> = Vec::new();
-            for w in neighbors {
-                controls.push(ControlMsg::SubscribeFeature { vertex: w, sew });
-                for &d in &downstream {
-                    controls.push(ControlMsg::SubscribeSamples {
-                        hop: d,
-                        vertex: w,
-                        sew,
-                    });
-                }
+            for e in self.reservoirs[hop.index()].samples(vertex) {
+                ripple(&mut self.controls, &self.ctx.dag, hop, e.neighbor, sew, 1);
             }
-            self.ctx.send_controls(controls);
         }
     }
 
@@ -577,26 +646,13 @@ impl SamplerShard {
             }
         }
         if drop_all {
-            self.ctx
-                .publish_sample(sew, &SampleMsg::Evict { hop, key: vertex });
-            let neighbors: Vec<VertexId> = self.reservoirs[hop.index()]
-                .samples(vertex)
-                .iter()
-                .map(|e| e.neighbor)
-                .collect();
-            let downstream: Vec<QueryHopId> = self.ctx.dag.downstream(hop).map(|d| d.hop).collect();
-            let mut controls: Vec<ControlMsg> = Vec::new();
-            for w in neighbors {
-                controls.push(ControlMsg::UnsubscribeFeature { vertex: w, sew });
-                for &d in &downstream {
-                    controls.push(ControlMsg::UnsubscribeSamples {
-                        hop: d,
-                        vertex: w,
-                        sew,
-                    });
-                }
+            self.owed_samples
+                .entry((hop, vertex))
+                .or_default()
+                .mark(sew.0, 0, TraceCtx::NONE);
+            for e in self.reservoirs[hop.index()].samples(vertex) {
+                ripple(&mut self.controls, &self.ctx.dag, hop, e.neighbor, sew, -1);
             }
-            self.ctx.send_controls(controls);
         }
     }
 
@@ -609,18 +665,10 @@ impl SamplerShard {
             .or_insert(0);
         *rc += 1;
         if *rc == 1 {
-            if let Some((f, ts)) = self.features.get(&vertex) {
-                self.ctx.publish_sample(
-                    sew,
-                    &SampleMsg::FeatureUpdate {
-                        vertex,
-                        feature: f.clone(),
-                        ts: *ts,
-                        caused_at: 0,
-                        trace: TraceCtx::NONE,
-                    },
-                );
-            }
+            self.owed_features
+                .entry(vertex)
+                .or_default()
+                .mark(sew.0, 0, TraceCtx::NONE);
         }
     }
 
@@ -639,8 +687,10 @@ impl SamplerShard {
             }
         }
         if evict {
-            self.ctx
-                .publish_sample(sew, &SampleMsg::EvictFeature { vertex });
+            self.owed_features
+                .entry(vertex)
+                .or_default()
+                .mark(sew.0, 0, TraceCtx::NONE);
         }
     }
 
@@ -749,44 +799,23 @@ impl SamplerShard {
     fn handle_expire(&mut self, horizon: Timestamp) {
         for hop_idx in 0..self.reservoirs.len() {
             let hop = QueryHopId(hop_idx as u16);
-            let evicted = self.reservoirs[hop_idx].expire_before(horizon);
-            let downstream: Vec<QueryHopId> = self.ctx.dag.downstream(hop).map(|d| d.hop).collect();
-            let mut touched: FxHashMap<VertexId, Vec<VertexId>> = FxHashMap::default();
-            for (key, entry) in evicted {
-                touched.entry(key).or_default().push(entry.neighbor);
-            }
-            for (key, lost) in touched {
-                let subs: Vec<u32> = self.sample_subs[hop_idx]
-                    .get(&key)
-                    .map(|m| m.keys().copied().collect())
-                    .unwrap_or_default();
-                if subs.is_empty() {
+            for (key, entry) in self.reservoirs[hop_idx].expire_before(horizon) {
+                let Some(subs) = self.sample_subs[hop_idx].get(&key) else {
                     continue;
-                }
-                let entries = Self::lite_entries(self.reservoirs[hop_idx].samples(key));
-                let msg = SampleMsg::SampleUpdate {
-                    hop,
-                    key,
-                    entries,
-                    caused_at: 0,
-                    trace: TraceCtx::NONE,
                 };
-                let mut controls: Vec<ControlMsg> = Vec::new();
-                for &sew_raw in &subs {
-                    let sew = ServingWorkerId(sew_raw);
-                    self.ctx.publish_sample(sew, &msg);
-                    for &w in &lost {
-                        controls.push(ControlMsg::UnsubscribeFeature { vertex: w, sew });
-                        for &d in &downstream {
-                            controls.push(ControlMsg::UnsubscribeSamples {
-                                hop: d,
-                                vertex: w,
-                                sew,
-                            });
-                        }
-                    }
+                let owed = self.owed_samples.entry((hop, key)).or_default();
+                for &sew in subs.keys() {
+                    owed.mark(sew, 0, TraceCtx::NONE);
+                    let sew = ServingWorkerId(sew);
+                    ripple(
+                        &mut self.controls,
+                        &self.ctx.dag,
+                        hop,
+                        entry.neighbor,
+                        sew,
+                        -1,
+                    );
                 }
-                self.ctx.send_controls(controls);
             }
         }
         self.features.retain(|_, (_, ts)| *ts >= horizon);
@@ -894,7 +923,7 @@ impl SamplerShard {
 static SHARD_UPDATE: helios_types::profile::FrameLabel =
     helios_types::profile::FrameLabel::new("shard_update");
 
-impl crate::actor::Actor for SamplerShard {
+impl Actor for SamplerShard {
     type Msg = ShardMsg;
 
     fn on_start(&mut self) {
@@ -905,49 +934,141 @@ impl crate::actor::Actor for SamplerShard {
     }
 
     fn handle(&mut self, msg: ShardMsg) {
-        let busy_start = std::time::Instant::now();
+        let start = Instant::now();
         match msg {
             ShardMsg::Update(env) => {
-                let _frame = helios_types::profile::push_frame(&SHARD_UPDATE);
-                let shard_span = span("sampler.shard", env.trace);
-                let trace = shard_span.ctx();
-                self.propagate_ns = 0;
-                match &env.update {
-                    GraphUpdate::Vertex(v) => self.handle_vertex(v, env.enqueued_at, trace),
-                    GraphUpdate::Edge(e) => self.handle_edge(e, env.enqueued_at, trace),
+                {
+                    let _frame = helios_types::profile::push_frame(&SHARD_UPDATE);
+                    let shard_span = span("sampler.shard", env.trace);
+                    let trace = shard_span.ctx();
+                    match &env.update {
+                        GraphUpdate::Vertex(v) => self.handle_vertex(v, env.enqueued_at, trace),
+                        GraphUpdate::Edge(e) => self.handle_edge(e, env.enqueued_at, trace),
+                    }
                 }
-                // Split the shard's processing time into local-state
-                // mutation ("sampler-apply") and subscriber fan-out
-                // ("samples-propagate"); the handlers accumulated the
-                // fan-out share in `propagate_ns`.
-                let total = busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                let propagate = self.propagate_ns.min(total);
-                self.ctx.metrics.apply_latency.record(total - propagate);
-                self.ctx.metrics.propagate_latency.record(propagate);
-                self.ctx.metrics.updates_processed.incr();
+                // Local-state mutation only ("sampler-apply"); the fan-out
+                // is the flush's ("samples-propagate").
+                let ns = self.charge_busy(start);
+                self.ctx.metrics.apply_latency.record(ns);
+                self.unflushed_updates += 1;
             }
             ShardMsg::Control(c) => {
                 self.handle_control(c);
-                self.ctx.metrics.control_processed.incr();
+                self.charge_busy(start);
+                self.unflushed_controls += 1;
             }
-            ShardMsg::Expire(h) => self.handle_expire(h),
+            ShardMsg::Expire(h) => self.between_flushes(|s| s.handle_expire(h)),
             ShardMsg::Checkpoint(dir, ack) => {
-                let _ = ack.send(self.handle_checkpoint(&dir));
+                let _ = ack.send(self.between_flushes(|s| s.handle_checkpoint(&dir)));
             }
             ShardMsg::Restore(dir, ack) => {
-                let _ = ack.send(self.handle_restore(&dir));
+                let _ = ack.send(self.between_flushes(|s| s.handle_restore(&dir)));
             }
             ShardMsg::Rescale { table, phase, ack } => {
-                self.handle_rescale(&table, phase);
+                self.between_flushes(|s| s.handle_rescale(&table, phase));
                 let _ = ack.send(());
             }
             ShardMsg::Inspect(ack) => {
-                let _ = ack.send(self.snapshot());
+                let _ = ack.send(self.between_flushes(|s| s.snapshot()));
             }
         }
-        if let Some(cell) = self.ctx.metrics.shard_busy_nanos.get(self.shard_idx) {
-            cell.add(busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+    }
+
+    /// Publish what the drain owes: per sample topic, one record per
+    /// owed `(hop, key)` and `vertex` — the state now if the worker is
+    /// still subscribed, an eviction otherwise — in one produce; then the
+    /// net refcount change per control target as `|net|` messages in one
+    /// produce. Only then does the drain count as processed, so the drain
+    /// equation never reads drained while its output is unsent.
+    fn flush(&mut self) {
+        if self.owed_samples.is_empty()
+            && self.owed_features.is_empty()
+            && self.controls.is_empty()
+            && self.unflushed_updates == 0
+            && self.unflushed_controls == 0
+        {
+            return;
         }
+        let start = Instant::now();
+        let mut records: FxHashMap<u32, Vec<(u64, bytes::Bytes)>> = FxHashMap::default();
+        for ((hop, key), owed) in std::mem::take(&mut self.owed_samples) {
+            let _fanout_span = span("sampler.fanout", owed.trace);
+            let subs = self.sample_subs[hop.index()].get(&key);
+            let (mut update, mut evict) = (None, None);
+            for &sew in &owed.sews {
+                let payload = if subs.is_some_and(|m| m.contains_key(&sew)) {
+                    update.get_or_insert_with(|| {
+                        SampleMsg::SampleUpdate {
+                            hop,
+                            key,
+                            entries: Self::lite_entries(self.reservoirs[hop.index()].samples(key)),
+                            caused_at: owed.caused_at,
+                            trace: owed.trace,
+                        }
+                        .encode_to_bytes()
+                    })
+                } else {
+                    evict.get_or_insert_with(|| SampleMsg::Evict { hop, key }.encode_to_bytes())
+                };
+                records
+                    .entry(sew)
+                    .or_default()
+                    .push((key.raw(), payload.clone()));
+            }
+            self.ctx.recorder.record(
+                EventKind::HopExpanded,
+                self.ctx.worker.0,
+                u64::from(hop.0),
+                key.raw(),
+                owed.sews.len() as u64,
+            );
+        }
+        for (vertex, owed) in std::mem::take(&mut self.owed_features) {
+            let subs = self.feat_subs.get(&vertex);
+            let (mut update, mut evict) = (None, None);
+            for &sew in &owed.sews {
+                let payload = if subs.is_some_and(|m| m.contains_key(&sew)) {
+                    let Some((feature, ts)) = self.features.get(&vertex) else {
+                        continue;
+                    };
+                    update.get_or_insert_with(|| {
+                        SampleMsg::FeatureUpdate {
+                            vertex,
+                            feature: feature.clone(),
+                            ts: *ts,
+                            caused_at: owed.caused_at,
+                            trace: owed.trace,
+                        }
+                        .encode_to_bytes()
+                    })
+                } else {
+                    evict
+                        .get_or_insert_with(|| SampleMsg::EvictFeature { vertex }.encode_to_bytes())
+                };
+                records
+                    .entry(sew)
+                    .or_default()
+                    .push((vertex.raw(), payload.clone()));
+            }
+        }
+        for (sew, batch) in records {
+            self.ctx.publish_samples(sew, batch);
+        }
+        if !self.controls.is_empty() {
+            self.ctx
+                .send_controls(self.controls.drain().flat_map(|(target, net)| {
+                    std::iter::repeat_n(target.msg(net > 0), net.unsigned_abs() as usize)
+                }));
+        }
+        let metrics = &self.ctx.metrics;
+        metrics
+            .updates_processed
+            .add(std::mem::take(&mut self.unflushed_updates));
+        metrics
+            .control_processed
+            .add(std::mem::take(&mut self.unflushed_controls));
+        let ns = self.charge_busy(start);
+        self.ctx.metrics.propagate_latency.record(ns);
     }
 }
 
@@ -986,18 +1107,15 @@ impl SamplingWorker {
             id.0,
             config.sampling_threads,
         ));
-        let ctx = Arc::new(Ctx {
-            worker: id,
+        let ctx = Arc::new(Ctx::new(
+            id,
             m,
+            query,
+            broker,
             router,
-            dag: query.dag(),
-            seed_type: query.seed_type(),
-            broker: Arc::clone(broker),
-            sample_topics: RwLock::new(FxHashMap::default()),
-            control_topic: broker.topic(topics::CONTROL)?,
-            metrics: Arc::clone(&metrics),
-            recorder: Arc::clone(recorder),
-        });
+            Arc::clone(&metrics),
+            Arc::clone(recorder),
+        )?);
         let pool_ctx = Arc::clone(&ctx);
         let shards = Arc::new(ShardedPool::new(
             &format!("saw{}-sampler", id.0),
@@ -1331,4 +1449,181 @@ impl SamplingWorker {
 /// Timestamp helper re-exported for deployment-level ingestion stamping.
 pub fn stamp_now() -> u64 {
     now_nanos()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use helios_mq::TopicConfig;
+    use helios_query::SamplingStrategy;
+    use helios_types::EdgeType;
+
+    const USER: VertexType = VertexType(0);
+    const ITEM: VertexType = VertexType(1);
+    const CLICK: EdgeType = EdgeType(0);
+    const COP: EdgeType = EdgeType(1);
+
+    fn two_hop() -> KHopQuery {
+        KHopQuery::builder(USER)
+            .hop(CLICK, ITEM, 2, SamplingStrategy::TopK)
+            .hop(COP, ITEM, 2, SamplingStrategy::TopK)
+            .build()
+            .unwrap()
+    }
+
+    /// Shard 0 of the only sampling worker, on a broker holding the
+    /// control topic and `serving` sample queues. Tests drive it through
+    /// `handle` and `flush` directly, so drain boundaries are exact.
+    fn shard(query: &KHopQuery, serving: usize) -> (SamplerShard, Arc<Broker>) {
+        let broker = Broker::new();
+        broker
+            .create_topic(topics::CONTROL, TopicConfig::default())
+            .unwrap();
+        for s in 0..serving as u32 {
+            broker
+                .create_topic(&topics::samples(s), TopicConfig::default())
+                .unwrap();
+        }
+        let ctx = Ctx::new(
+            SamplingWorkerId(0),
+            1,
+            query,
+            &broker,
+            Arc::new(Router::new(RouteTable::initial(serving, 16))),
+            Arc::new(SamplerMetrics::new(1)),
+            FlightRecorder::new(16),
+        )
+        .unwrap();
+        (SamplerShard::new(Arc::new(ctx), 0), broker)
+    }
+
+    fn edge(etype: EdgeType, src_type: VertexType, src: u64, dst: u64, ts: u64) -> ShardMsg {
+        ShardMsg::Update(UpdateEnvelope::stamp(GraphUpdate::Edge(EdgeUpdate {
+            etype,
+            src_type,
+            src: VertexId(src),
+            dst_type: ITEM,
+            dst: VertexId(dst),
+            ts: Timestamp(ts),
+            weight: 1.0,
+        })))
+    }
+
+    /// Every record in `topic`, decoded (nothing reads these topics, so
+    /// the log retains them all).
+    fn records<T: Decode>(broker: &Broker, topic: &str) -> Vec<T> {
+        let t = broker.topic(topic).unwrap();
+        (0..t.partition_count())
+            .flat_map(|p| t.partition(PartitionId(p)).unwrap().fetch(0, usize::MAX).0)
+            .map(|r| T::decode_from_slice(&r.payload).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_drain_sends_each_subscriber_one_record_with_the_final_reservoir() {
+        let query = KHopQuery::builder(USER)
+            .hop(CLICK, ITEM, 2, SamplingStrategy::TopK)
+            .build()
+            .unwrap();
+        let (mut shard, broker) = shard(&query, 2);
+        let owner = shard.ctx.sew_of(VertexId(1));
+        let other = ServingWorkerId(1 - owner.0);
+        shard.handle(ShardMsg::Control(ControlMsg::SubscribeSamples {
+            hop: QueryHopId(0),
+            vertex: VertexId(1),
+            sew: other,
+        }));
+        for i in 0..50 {
+            shard.handle(edge(CLICK, USER, 1, 100 + i, 10 + i));
+        }
+        assert!(records::<SampleMsg>(&broker, &topics::samples(owner.0)).is_empty());
+        shard.flush();
+        for sew in [owner, other] {
+            let got: Vec<SampleMsg> = records(&broker, &topics::samples(sew.0));
+            let [SampleMsg::SampleUpdate {
+                hop,
+                key,
+                entries,
+                caused_at,
+                ..
+            }] = got.as_slice()
+            else {
+                panic!("{sew:?}: one sample update expected, got {got:?}");
+            };
+            assert_eq!((*hop, *key), (QueryHopId(0), VertexId(1)));
+            let mut neighbors: Vec<u64> = entries.iter().map(|e| e.neighbor.raw()).collect();
+            neighbors.sort_unstable();
+            assert_eq!(
+                neighbors,
+                vec![148, 149],
+                "{sew:?}: the drain's final top 2"
+            );
+            assert!(*caused_at > 0, "the record carries its earliest cause");
+        }
+        // Feature refcounts net to the two survivors per subscriber.
+        let controls: Vec<ControlMsg> = records(&broker, topics::CONTROL);
+        assert_eq!(controls.len(), 4, "{controls:?}");
+        assert!(controls.iter().all(|c| matches!(
+            c,
+            ControlMsg::SubscribeFeature { vertex, .. } if vertex.raw() >= 148
+        )));
+    }
+
+    #[test]
+    fn a_subscribe_and_unsubscribe_in_one_drain_cancel() {
+        let (mut shard, broker) = shard(&two_hop(), 1);
+        shard.handle(edge(COP, ITEM, 7, 900, 1));
+        shard.handle(edge(COP, ITEM, 7, 901, 2));
+        shard.flush();
+        let control = broker.topic(topics::CONTROL).unwrap();
+        let sent = control.total_end_offset();
+        let before = shard.snapshot();
+        let (hop, vertex, sew) = (QueryHopId(1), VertexId(7), ServingWorkerId(0));
+        shard.handle(ShardMsg::Control(ControlMsg::SubscribeSamples {
+            hop,
+            vertex,
+            sew,
+        }));
+        shard.handle(ShardMsg::Control(ControlMsg::UnsubscribeSamples {
+            hop,
+            vertex,
+            sew,
+        }));
+        shard.flush();
+        assert_eq!(control.total_end_offset(), sent, "no control record");
+        let after = shard.snapshot();
+        assert_eq!(after.sample_subs, before.sample_subs);
+        assert_eq!(after.feat_subs, before.feat_subs);
+        // What the worker is owed resolves against the end state.
+        let got: Vec<SampleMsg> = records(&broker, &topics::samples(0));
+        assert!(
+            matches!(got.as_slice(), [SampleMsg::Evict { hop: h, key }] if *h == hop && *key == vertex),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn processed_counters_move_only_at_flush() {
+        let (mut shard, broker) = shard(&two_hop(), 1);
+        let metrics = Arc::clone(&shard.ctx.metrics);
+        shard.handle(edge(CLICK, USER, 1, 100, 1));
+        shard.handle(ShardMsg::Control(ControlMsg::SubscribeFeature {
+            vertex: VertexId(1),
+            sew: ServingWorkerId(0),
+        }));
+        let counts = || {
+            (
+                metrics.updates_processed.get(),
+                metrics.control_processed.get(),
+            )
+        };
+        assert_eq!(counts(), (0, 0));
+        assert_eq!(metrics.published.get(), 0);
+        shard.flush();
+        assert_eq!(counts(), (1, 1));
+        assert_eq!(metrics.published.get(), 1, "the seed's hop-0 cell");
+        assert_eq!(records::<SampleMsg>(&broker, &topics::samples(0)).len(), 1);
+        shard.flush();
+        assert_eq!(counts(), (1, 1), "an empty flush counts nothing");
+    }
 }

@@ -35,7 +35,7 @@ use helios_telemetry::ops::HealthProbe;
 use helios_telemetry::{EventKind, FlightRecorder, HealthReport, MemAccountant, Registry};
 use helios_types::{
     hash::route, Decode, Encode, GraphUpdate, MemGauge, PartitionId, Result, SamplingWorkerId,
-    ServingWorkerId, VertexId,
+    ServingWorkerId,
 };
 use parking_lot::RwLock;
 use std::ops::Range;
@@ -222,27 +222,46 @@ impl SamplingTier {
     /// stamp each copy and append it to its routing vertex's partition of
     /// the update stream (the front end of Fig. 5).
     pub(crate) fn ingest(&self, update: &GraphUpdate) -> Result<()> {
-        match update {
-            GraphUpdate::Vertex(_) => self.produce(update.clone(), update.routing_vertex()),
-            GraphUpdate::Edge(e) => {
-                for (rv, copy) in self.config.policy.copies(e) {
-                    self.produce(GraphUpdate::Edge(copy), rv)?;
-                }
-                Ok(())
-            }
-        }
+        self.updates.produce_many_to(self.routed(update))?;
+        Ok(())
     }
 
     /// Ingest a batch in order, stopping at the first failure. Before each
     /// [`POLL_BATCH`] of it, wait until at most [`MAX_PENDING_UPDATES`]
     /// appended updates are unfinished, so the memory a burst holds in
     /// flight is bounded by that, not by how far ingest outruns sampling.
+    /// Each chunk's routed copies are appended with one produce: one
+    /// sequence bump and one consumer wake-up per chunk.
     pub fn ingest_batch(&self, updates: &[GraphUpdate]) -> Result<()> {
         for chunk in updates.chunks(POLL_BATCH) {
             self.await_sampling_headroom();
-            chunk.iter().try_for_each(|u| self.ingest(u))?;
+            let records: Vec<_> = chunk.iter().flat_map(|u| self.routed(u)).collect();
+            self.updates.produce_many_to(records)?;
         }
         Ok(())
+    }
+
+    /// `update`'s copies per the edge partition policy, each stamped,
+    /// encoded and addressed to its routing vertex's partition.
+    fn routed(&self, update: &GraphUpdate) -> Vec<(PartitionId, u64, bytes::Bytes)> {
+        let copies = match update {
+            GraphUpdate::Vertex(_) => vec![(update.routing_vertex(), update.clone())],
+            GraphUpdate::Edge(e) => self
+                .config
+                .policy
+                .copies(e)
+                .into_iter()
+                .map(|(rv, copy)| (rv, GraphUpdate::Edge(copy)))
+                .collect(),
+        };
+        copies
+            .into_iter()
+            .map(|(rv, copy)| {
+                let partition = PartitionId(route(rv.raw(), self.config.sampling_workers) as u32);
+                let env = UpdateEnvelope::stamp(copy);
+                (partition, rv.raw(), env.encode_to_bytes())
+            })
+            .collect()
     }
 
     /// Updates the sampling workers finished (corrupt ones included).
@@ -267,14 +286,6 @@ impl SamplingTier {
                 return;
             }
         }
-    }
-
-    fn produce(&self, update: GraphUpdate, rv: VertexId) -> Result<()> {
-        let env = UpdateEnvelope::stamp(update);
-        let partition = PartitionId(route(rv.raw(), self.config.sampling_workers) as u32);
-        self.updates
-            .produce_to(partition, rv.raw(), env.encode_to_bytes())?;
-        Ok(())
     }
 
     /// Pending messages in every sampling shard's mailbox.
@@ -821,6 +832,7 @@ impl Watermarks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use helios_types::VertexId;
 
     fn drained_marks() -> Watermarks {
         Watermarks {

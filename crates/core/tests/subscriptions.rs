@@ -228,24 +228,39 @@ fn churn_op(rng: &mut StdRng) -> ChurnOp {
 }
 
 type Refcounts = HashMap<(u64, u32), u32>;
+type Reservoirs = [HashMap<u64, Vec<u64>>; 2];
 
 /// Tiny fan-outs (2 then 1) over a small vertex space force constant
 /// reservoir replacement; interleaved TTL expiry tears entries out
 /// from under in-flight subscriptions. After quiescing, the global
 /// `sample_subs`/`feat_subs` refcounts must equal the from-scratch
-/// derivation over the surviving reservoir contents.
+/// derivation over the surviving reservoir contents, and the serving
+/// caches must hold exactly what those reservoirs and subscriptions say.
 #[test]
 fn subscription_churn_converges_to_reservoir_contents() {
     for seed in 1..=12u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ops: Vec<ChurnOp> = (0..rng.gen_range(1..120))
-            .map(|_| churn_op(&mut rng))
-            .collect();
-        churn_case(seed, &ops);
+        churn_case(seed, &churn_ops(seed), false);
     }
 }
 
-fn churn_case(seed: u64, ops: &[ChurnOp]) {
+/// The same churn with every run of updates between two `Expire` ops
+/// ingested as one batch, so sampling shards drain many messages at once
+/// and their flushes coalesce records and net control traffic.
+#[test]
+fn subscription_churn_batched_converges_to_reservoir_contents() {
+    for seed in 1..=12u64 {
+        churn_case(seed, &churn_ops(seed), true);
+    }
+}
+
+fn churn_ops(seed: u64) -> Vec<ChurnOp> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..rng.gen_range(1..120))
+        .map(|_| churn_op(&mut rng))
+        .collect()
+}
+
+fn churn_case(seed: u64, ops: &[ChurnOp], batched: bool) {
     let q = KHopQuery::builder(USER)
         .hop(CLICK, ITEM, 2, SamplingStrategy::TopK)
         .hop(COP, ITEM, 1, SamplingStrategy::TopK)
@@ -254,26 +269,58 @@ fn churn_case(seed: u64, ops: &[ChurnOp]) {
     let helios = HeliosDeployment::start(HeliosConfig::with_workers(2, 2), q).unwrap();
 
     let mut ts = 0u64;
+    let mut horizon = None;
+    let mut pending = Vec::new();
     for op in ops {
         ts += 1;
-        match *op {
-            ChurnOp::Click(u, i) => helios.ingest(&edge(CLICK, USER, u, ITEM, i, ts)).unwrap(),
-            ChurnOp::Cop(i, j) => helios.ingest(&edge(COP, ITEM, i, ITEM, j, ts)).unwrap(),
-            ChurnOp::UserVertex(u) => helios.ingest(&vertex(u, USER, ts)).unwrap(),
-            ChurnOp::ItemVertex(i) => helios.ingest(&vertex(i, ITEM, ts)).unwrap(),
-            ChurnOp::Expire => helios
-                .expire_before(Timestamp(ts.saturating_sub(10)))
-                .unwrap(),
+        let update = match *op {
+            ChurnOp::Click(u, i) => edge(CLICK, USER, u, ITEM, i, ts),
+            ChurnOp::Cop(i, j) => edge(COP, ITEM, i, ITEM, j, ts),
+            ChurnOp::UserVertex(u) => vertex(u, USER, ts),
+            ChurnOp::ItemVertex(i) => vertex(i, ITEM, ts),
+            ChurnOp::Expire => {
+                helios.ingest_batch(&std::mem::take(&mut pending)).unwrap();
+                let h = Timestamp(ts.saturating_sub(10));
+                helios.expire_before(h).unwrap();
+                horizon = Some(h);
+                continue;
+            }
+        };
+        if batched {
+            pending.push(update);
+        } else {
+            helios.ingest(&update).unwrap();
         }
     }
+    helios.ingest_batch(&pending).unwrap();
     assert!(
         helios.quiesce(SETTLE),
         "seed {seed}: deployment failed to quiesce"
     );
+    check_subscriptions(seed, &helios);
 
+    // An update polled after its shard ran an `Expire` lands in a
+    // reservoir below the horizon, where the serving caches' TTL filter
+    // already hides it. Expiring again at the same horizon settles both
+    // sides on the same contents before they are compared.
+    if let Some(h) = horizon {
+        helios.expire_before(h).unwrap();
+        assert!(
+            helios.quiesce(SETTLE),
+            "seed {seed}: deployment failed to quiesce after expiry"
+        );
+    }
+    let (res, subs) = check_subscriptions(seed, &helios);
+    check_caches(seed, &helios, &res, &subs);
+    helios.shutdown();
+}
+
+/// Assert the refcounts equal their from-scratch derivation over the
+/// reservoir contents; return those contents and the hop subscriptions.
+fn check_subscriptions(seed: u64, helios: &HeliosDeployment) -> (Reservoirs, [Refcounts; 2]) {
     // Union the per-shard snapshots into one global view. Keys are
     // sharded by vertex, so summing refcounts merges disjoint maps.
-    let mut res: [HashMap<u64, Vec<u64>>; 2] = [HashMap::new(), HashMap::new()];
+    let mut res: Reservoirs = [HashMap::new(), HashMap::new()];
     let mut seeds: HashMap<u64, u32> = HashMap::new();
     let mut got_samples: [Refcounts; 2] = [HashMap::new(), HashMap::new()];
     let mut got_feats: Refcounts = HashMap::new();
@@ -348,7 +395,69 @@ fn churn_case(seed: u64, ops: &[ChurnOp]) {
         "seed {seed}: hop-1 subs diverged"
     );
     assert_eq!(&got_feats, &exp_feats, "seed {seed}: feature subs diverged");
-    helios.shutdown();
+    (res, got_samples)
+}
+
+/// Assert the serving caches converged to what the sampling tier holds,
+/// independently of the records that carried it there: every seed
+/// serves the subgraph its reservoirs derive, and each worker's sample
+/// table holds exactly its subscribed cells with samples in them.
+fn check_caches(seed: u64, helios: &HeliosDeployment, res: &Reservoirs, subs: &[Refcounts; 2]) {
+    for &(s, _) in subs[0].keys() {
+        let served = helios.serve(VertexId(s)).unwrap();
+        let got: Vec<Vec<(u64, Vec<u64>)>> = served
+            .hops
+            .iter()
+            .map(|h| {
+                h.groups
+                    .iter()
+                    .map(|(p, c)| (p.raw(), c.iter().map(|v| v.raw()).collect()))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            got,
+            derived_hops(s, res),
+            "seed {seed}: serve of {s} diverged"
+        );
+    }
+    for sw in helios.serving_workers() {
+        let sew = sw.id().0;
+        let expected = (0..2)
+            .flat_map(|h| {
+                subs[h]
+                    .keys()
+                    .filter(move |(k, s)| *s == sew && res[h].get(k).is_some_and(|n| !n.is_empty()))
+            })
+            .count();
+        // Timestamp(1) drops tombstones and the ts-0 cells of empty
+        // reservoirs, which serve exactly like absent cells.
+        sw.expire_before(Timestamp(1)).unwrap();
+        assert_eq!(
+            sw.cache_stats().0.mem_entries,
+            expected,
+            "seed {seed}: worker {sew}'s sample table holds other cells"
+        );
+    }
+}
+
+/// The K-hop groups a serve of `s` assembles from `res`: each hop groups
+/// the frontier's samples, and assembly stops after a hop with none.
+fn derived_hops(s: u64, res: &Reservoirs) -> Vec<Vec<(u64, Vec<u64>)>> {
+    let mut hops = Vec::new();
+    let mut frontier = vec![s];
+    for table in res {
+        let groups: Vec<(u64, Vec<u64>)> = frontier
+            .iter()
+            .map(|v| (*v, table.get(v).cloned().unwrap_or_default()))
+            .collect();
+        frontier = groups.iter().flat_map(|(_, c)| c.clone()).collect();
+        hops.push(groups);
+        if frontier.is_empty() {
+            break;
+        }
+    }
+    hops
 }
 
 /// Random strategy with a churning stream: serving results must always be
