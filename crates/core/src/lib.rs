@@ -21,10 +21,11 @@
 //!   sample cache (sample tables + feature table over `helios-kvstore`,
 //!   §6) and answer K-hop sampling queries with a *fixed* number of local
 //!   lookups — no network, no traversal;
-//! * a message broker (`helios-mq`) carrying three kinds of topics:
-//!   `updates` (graph updates, partitioned by routing vertex), `control`
-//!   (subscription management between sampling workers) and
+//! * a message broker (`helios-mq`) carrying two kinds of topics:
+//!   `updates` (graph updates, partitioned by routing vertex) and
 //!   `samples-<sew>` (pre-sampled results pushed to each serving worker).
+//!   Subscription management between sampling workers (§5.3) goes
+//!   straight to the owning shard's mailbox: all of them share a process.
 //!
 //! Consistency is **eventual** (§6): serving never blocks on ingestion,
 //! and the staleness window is measured (Fig. 17) rather than eliminated.

@@ -1,16 +1,17 @@
-//! Wire messages between Helios workers.
+//! Messages between Helios workers.
 //!
-//! Three message families, one per topic family:
+//! Three message families:
 //!
 //! * [`UpdateEnvelope`] — a graph update stamped with its enqueue time, on
 //!   the `updates` topic (the stamp is how ingestion latency, Fig. 17, is
 //!   measured end-to-end);
-//! * [`ControlMsg`] — subscription management between sampling workers on
-//!   the `control` topic (§5.3, Fig. 7);
+//! * [`ControlMsg`] — subscription management between sampling shards
+//!   (§5.3, Fig. 7), sent typed to the owning shard's mailbox: every
+//!   sampling worker runs in one process, so it is never encoded;
 //! * [`SampleMsg`] — pre-sampled results and feature updates pushed to a
 //!   serving worker's `samples-<sew>` topic.
 
-use bytes::{Buf, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use helios_telemetry::TraceCtx;
 use helios_types::{
     Decode, Encode, GraphUpdate, HeliosError, QueryHopId, Result, ServingWorkerId, Timestamp,
@@ -144,10 +145,10 @@ impl SampleEntryLite {
     }
 }
 
-/// Subscription-management messages between sampling workers (§5.3).
+/// Subscription-management messages between sampling shards (§5.3).
 ///
-/// Routed on the `control` topic by the *target* vertex, so the vertex's
-/// owner processes them in order.
+/// Sent to the mailbox of the shard that owns the *target* vertex, so the
+/// vertex's owner processes them in order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlMsg {
     /// `sew` now needs the one-hop samples of `vertex` under `hop`
@@ -195,68 +196,6 @@ impl ControlMsg {
             | ControlMsg::UnsubscribeSamples { vertex, .. }
             | ControlMsg::SubscribeFeature { vertex, .. }
             | ControlMsg::UnsubscribeFeature { vertex, .. } => *vertex,
-        }
-    }
-}
-
-const CTL_SUB_S: u8 = 0;
-const CTL_UNSUB_S: u8 = 1;
-const CTL_SUB_F: u8 = 2;
-const CTL_UNSUB_F: u8 = 3;
-
-impl Encode for ControlMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ControlMsg::SubscribeSamples { hop, vertex, sew } => {
-                buf.put_u8(CTL_SUB_S);
-                hop.encode(buf);
-                vertex.encode(buf);
-                sew.encode(buf);
-            }
-            ControlMsg::UnsubscribeSamples { hop, vertex, sew } => {
-                buf.put_u8(CTL_UNSUB_S);
-                hop.encode(buf);
-                vertex.encode(buf);
-                sew.encode(buf);
-            }
-            ControlMsg::SubscribeFeature { vertex, sew } => {
-                buf.put_u8(CTL_SUB_F);
-                vertex.encode(buf);
-                sew.encode(buf);
-            }
-            ControlMsg::UnsubscribeFeature { vertex, sew } => {
-                buf.put_u8(CTL_UNSUB_F);
-                vertex.encode(buf);
-                sew.encode(buf);
-            }
-        }
-    }
-}
-
-use bytes::BufMut;
-
-impl Decode for ControlMsg {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        match u8::decode(buf)? {
-            CTL_SUB_S => Ok(ControlMsg::SubscribeSamples {
-                hop: QueryHopId::decode(buf)?,
-                vertex: VertexId::decode(buf)?,
-                sew: ServingWorkerId::decode(buf)?,
-            }),
-            CTL_UNSUB_S => Ok(ControlMsg::UnsubscribeSamples {
-                hop: QueryHopId::decode(buf)?,
-                vertex: VertexId::decode(buf)?,
-                sew: ServingWorkerId::decode(buf)?,
-            }),
-            CTL_SUB_F => Ok(ControlMsg::SubscribeFeature {
-                vertex: VertexId::decode(buf)?,
-                sew: ServingWorkerId::decode(buf)?,
-            }),
-            CTL_UNSUB_F => Ok(ControlMsg::UnsubscribeFeature {
-                vertex: VertexId::decode(buf)?,
-                sew: ServingWorkerId::decode(buf)?,
-            }),
-            t => Err(HeliosError::Codec(format!("bad ControlMsg tag {t}"))),
         }
     }
 }
@@ -432,35 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn control_msgs_roundtrip() {
-        let msgs = [
-            ControlMsg::SubscribeSamples {
-                hop: QueryHopId(1),
-                vertex: VertexId(5),
-                sew: ServingWorkerId(2),
-            },
-            ControlMsg::UnsubscribeSamples {
-                hop: QueryHopId(0),
-                vertex: VertexId(6),
-                sew: ServingWorkerId(0),
-            },
-            ControlMsg::SubscribeFeature {
-                vertex: VertexId(7),
-                sew: ServingWorkerId(1),
-            },
-            ControlMsg::UnsubscribeFeature {
-                vertex: VertexId(8),
-                sew: ServingWorkerId(3),
-            },
-        ];
-        for m in &msgs {
-            let back = ControlMsg::decode_from_slice(&m.encode_to_bytes()).unwrap();
-            assert_eq!(&back, m);
-            assert_eq!(back.target_vertex(), m.target_vertex());
-        }
-    }
-
-    #[test]
     fn sample_msgs_roundtrip() {
         let msgs = [
             SampleMsg::SampleUpdate {
@@ -558,7 +468,6 @@ mod tests {
 
     #[test]
     fn garbage_rejected() {
-        assert!(ControlMsg::decode_from_slice(&[99, 0, 0]).is_err());
         assert!(SampleMsg::decode_from_slice(&[99]).is_err());
         assert!(UpdateEnvelope::decode_from_slice(&[]).is_err());
     }

@@ -2,35 +2,34 @@
 //!
 //! [`HeliosDeployment::scale_to`] changes the number of logical serving
 //! workers on a *running* deployment without dropping a query. The
-//! handoff is a two-phase protocol over the `membership` topic:
+//! handoff is a two-phase protocol of scans sent straight to the mailbox
+//! of every sampling shard, each acked once the shard has run it:
 //!
-//! 1. **Prepare** — the rebalanced [`helios_membership::RouteTable`]
-//!    (epoch + 1) is
-//!    broadcast to every sampling worker. Each one charges the *new*
+//! 1. **Prepare** — every shard scans against the rebalanced
+//!    [`helios_membership::RouteTable`] (epoch + 1) and charges the *new*
 //!    owner of every moved seed through the §5.3 subscription path, whose
 //!    idempotent snapshot-push is exactly the bootstrap a joining worker
 //!    needs: reservoir contents and features stream into its cache while
 //!    live traffic keeps routing by the old table.
-//! 2. **Catch-up watermark** — the deployment waits until every sampling
-//!    worker has run its Prepare scan, the transitive subscribe cascade
-//!    has drained, and every serving worker has consumed its sample queue
-//!    to the end. Only then is the new table safe to serve from.
-//! 3. **Commit** — the table is broadcast again; samplers install it
-//!    (new traffic routes to new owners) and discharge the old owners of
-//!    moved seeds, whose refcounted unsubscribe cascade strips everything
-//!    only they pinned. Scale-in then shuts the departed workers down and
-//!    deletes their queues.
+//! 2. **Catch-up watermark** — the deployment waits until every shard
+//!    has acked its Prepare scan, the transitive subscribe cascade has
+//!    drained, and every serving worker has consumed its sample queue to
+//!    the end. Only then is the new table safe to serve from.
+//! 3. **Commit** — the table is installed on the shared router (new
+//!    traffic routes to new owners), then every shard scans again and
+//!    discharges the old owners of moved seeds, whose refcounted
+//!    unsubscribe cascade strips everything only they pinned. Scale-in
+//!    then shuts the departed workers down and deletes their queues.
 //!
 //! The serving-set/table ordering is the zero-drop invariant: a scale-out
 //! extends the serving set *before* Prepare, a scale-in truncates it only
 //! *after* the commit watermark, so the router never points a query at a
 //! worker that is not in the set.
 //!
-//! A handoff that misses its watermark deadline is **abandoned**: routing
-//! stays on the old table, an `Abort` broadcast discharges the charges
-//! the Prepare scans made, and the attempt's epoch is burned — the next
-//! attempt allocates a strictly larger one, so its watermarks can only be
-//! satisfied by its own scans.
+//! A handoff that misses its deadline is **abandoned**: routing stays on
+//! the old table, an `Abort` scan discharges the charges the Prepare
+//! scans made, and the attempt's epoch is burned — the next attempt
+//! allocates a strictly larger one.
 //!
 //! [`HeliosDeployment::start_autoscaler`] drives `scale_to` from
 //! telemetry: a [`ScaleController`] watches consumer lag, the freshness
@@ -39,10 +38,10 @@
 //! `/scale?target=N` manual override to the ops server.
 
 use crate::deployment::HeliosDeployment;
-use crate::sampler::topics;
-use helios_membership::{MembershipMsg, ScaleController, ScalePolicy, ScaleSignals};
+use crate::sampler::{topics, RescalePhase, SamplingWorker};
+use helios_membership::{ScaleController, ScalePolicy, ScaleSignals};
 use helios_telemetry::{EventKind, StatsReporter};
-use helios_types::{Encode, HeliosError, PartitionId, Result};
+use helios_types::{HeliosError, Result};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,10 +57,9 @@ impl HeliosDeployment {
     /// On timeout ([`crate::HeliosConfig::rescale_timeout`]) the rescale
     /// is abandoned *before* commit: routing is untouched, the attempt's
     /// pending subscription charges are rolled back with an `Abort`
-    /// broadcast, and a scale-out's extra prepared workers stay warm in
-    /// the serving set — harmless, and a retry picks them up. Every
-    /// attempt uses a fresh epoch (never reusing an abandoned one), so a
-    /// retry's watermarks can only be satisfied by its own scans.
+    /// scan, and a scale-out's extra prepared workers stay warm in the
+    /// serving set — harmless, and a retry picks them up. Every attempt
+    /// uses a fresh epoch, never reusing an abandoned one.
     pub fn scale_to(&self, target: usize) -> Result<u64> {
         let _guard = self.rescale_lock.lock();
         if target == 0 {
@@ -90,10 +88,8 @@ impl HeliosDeployment {
             target as u64,
         );
         // Allocate an attempt-unique epoch: at least cur+1, and strictly
-        // above every previous attempt's. An abandoned attempt leaves the
-        // samplers' prepare/commit watermarks at its epoch; reusing it
-        // would let a retry's watermark pass off the *abandoned* attempt's
-        // scans and commit before the new owners are warm.
+        // above every previous attempt's, so each attempt's table and
+        // flight events name that attempt alone.
         let epoch = self
             .next_rescale_epoch
             .load(std::sync::atomic::Ordering::SeqCst)
@@ -120,27 +116,21 @@ impl HeliosDeployment {
 
         // Phase 1: Prepare. New owners of moved seeds get charged (cache
         // warm-up through the idempotent snapshot path); routing unchanged.
-        // On abandonment, broadcast Abort so samplers discharge the
-        // attempt's pending charges: per-partition FIFO runs that scan
-        // after this attempt's Prepare and before any retry's, so the
-        // abandoned table's owners don't keep receiving fan-out forever.
-        let prepared = self
-            .broadcast_membership(&MembershipMsg::Prepare {
-                table: (*new_table).clone(),
-            })
-            .and_then(|()| {
-                self.await_watermark(deadline, "prepare scan", || {
-                    self.tier
-                        .workers()
-                        .iter()
-                        .all(|w| w.prepared_epoch() >= epoch)
-                })
-            })
-            .and_then(|()| self.await_catch_up(deadline));
+        // On abandonment, send Abort so the shards discharge the attempt's
+        // pending charges, and do not wait for it: each shard's FIFO
+        // mailbox runs it after this attempt's Prepare and before any
+        // retry's, so the abandoned table's owners don't keep receiving
+        // fan-out forever.
+        let workers = self.tier.workers();
+        let prepared = SamplingWorker::rescale(workers, &new_table, RescalePhase::Prepare)
+            .wait(Some(deadline), "prepare scan")
+            .and_then(|_| self.await_catch_up(deadline));
         if let Err(e) = prepared {
-            let _ = self.broadcast_membership(&MembershipMsg::Abort {
-                table: (*new_table).clone(),
-            });
+            drop(SamplingWorker::rescale(
+                workers,
+                &new_table,
+                RescalePhase::Abort,
+            ));
             self.plane.recorder().record(
                 EventKind::HandoffAborted,
                 u32::MAX,
@@ -151,21 +141,17 @@ impl HeliosDeployment {
             return Err(e);
         }
 
-        // Phase 2: Commit. Samplers install the table (the router is
-        // shared with the front-end, so queries repoint instantly) and
-        // discharge the old owners of moved seeds.
-        self.broadcast_membership(&MembershipMsg::Commit {
-            table: (*new_table).clone(),
-        })?;
-        self.await_watermark(deadline, "commit scan", || {
-            self.tier
-                .workers()
-                .iter()
-                .all(|w| w.committed_epoch() >= epoch)
-        })?;
-        // Defense in depth: with zero sampling workers the broadcast has
-        // no installer (idempotent — normally already done by a sampler).
+        // Phase 2: Commit. Install the table on the router every sampler
+        // shares with the front-end, so queries repoint instantly and a
+        // shard moves a seed its live traffic touches before the Commit
+        // scan gets there; then the scans discharge the old owners of
+        // moved seeds.
         self.tier.router().install(Arc::clone(&new_table));
+        for w in workers {
+            w.invalidate_sample_topics(target as u32);
+        }
+        SamplingWorker::rescale(workers, &new_table, RescalePhase::Commit)
+            .wait(Some(deadline), "commit scan")?;
         self.plane.recorder().record(
             EventKind::EpochBump,
             u32::MAX,
@@ -188,7 +174,7 @@ impl HeliosDeployment {
             for s in target as u32..have as u32 {
                 let _ = self.tier.broker().delete_topic(&topics::samples(s));
             }
-            for w in self.tier.workers() {
+            for w in workers {
                 w.invalidate_sample_topics(target as u32);
             }
         }
@@ -203,17 +189,6 @@ impl HeliosDeployment {
         Ok(epoch)
     }
 
-    /// Broadcast one membership message to every partition of the
-    /// `membership` topic (one partition per sampling worker).
-    fn broadcast_membership(&self, msg: &MembershipMsg) -> Result<()> {
-        let topic = self.tier.broker().topic(topics::MEMBERSHIP)?;
-        let payload = msg.encode_to_bytes();
-        for p in 0..self.config.sampling_workers as u32 {
-            topic.produce_to(PartitionId(p), u64::from(p), payload.clone())?;
-        }
-        Ok(())
-    }
-
     /// Spin (with a short sleep) until `done` or `deadline`.
     fn await_watermark(
         &self,
@@ -224,8 +199,8 @@ impl HeliosDeployment {
         loop {
             // Deadline first: a watermark reached *after* the deadline
             // still abandons. Checking `done()` first would let an
-            // expired attempt race through whenever the samplers happen
-            // to ack between the broadcast and the first check.
+            // expired attempt race through whenever the watermark happens
+            // to be reached between the scans' acks and the first check.
             let expired = Instant::now() >= deadline;
             if done() && !expired {
                 return Ok(());
@@ -401,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_table_is_what_scale_to_broadcasts() {
+    fn rebalance_table_is_what_scale_to_scans_against() {
         // Sanity-pin the table math scale_to relies on: epoch bump +
         // bounded movement.
         let t = RouteTable::initial(2, 64);

@@ -3,9 +3,9 @@
 //! Each sampling worker owns one partition of the graph-update stream.
 //! Internally it follows the paper's thread structure:
 //!
-//! * **polling threads** (two: updates + control) continuously fetch from
-//!   the worker's input queues and dispatch to sampling threads by vertex
-//!   hash;
+//! * **one polling thread** continuously fetches the worker's partition
+//!   of the `updates` topic and dispatches each update to a sampling
+//!   thread by vertex hash;
 //! * **sampling threads** — a [`ShardedPool`], each shard exclusively
 //!   owning a slice of the key space with its per-hop reservoir tables,
 //!   feature table and subscription tables (no locks on the hot path);
@@ -14,8 +14,14 @@
 //!   then flushes: one record per `(hop, key, serving worker)` and per
 //!   `(vertex, serving worker)` the drain changed, carrying the state at
 //!   the end of the drain, in one produce per sample queue, and the net
-//!   refcount change per subscription target in one control produce. A
-//!   hot key that takes a thousand edges in one drain is sent once.
+//!   refcount change per subscription target as `|net|` control messages
+//!   sent straight to the mailbox of the shard that owns the target
+//!   vertex, on whichever worker owns it. A hot key that takes a
+//!   thousand edges in one drain is sent once.
+//!
+//! Every sampling worker of a deployment runs in one process, so control
+//! messages and rescale scans need no log: a shard mailbox is already
+//! the per-sender FIFO channel they need.
 //!
 //! Subscription propagation implements §5.3 / Fig. 7 with refcounts: a
 //! serving worker's subscription to `(hop k, vertex)` exists as long as at
@@ -23,23 +29,25 @@
 
 use crate::actor::{Actor, Beacon, ShardedPool};
 use crate::config::{HeliosConfig, POLL_BATCH, POLL_TIMEOUT};
+use crate::coordinator::Coordinator;
 use crate::messages::{now_nanos, ControlMsg, SampleEntryLite, SampleMsg, UpdateEnvelope};
 use crate::to_reservoir_strategy;
-use helios_membership::{MembershipMsg, RouteTable, Router};
-use helios_mq::Broker;
+use helios_membership::{RouteTable, Router};
+use helios_mq::{Broker, Consumer};
 use helios_query::{KHopQuery, QueryDag};
 use helios_sampling::{ReservoirOutcome, ReservoirTable, SampleEntry};
 use helios_telemetry::{span, Counter, EventKind, FlightRecorder, Histogram, Registry, TraceCtx};
 use helios_types::{
-    hash::route, Decode, EdgeUpdate, Encode, FxHashMap, GraphUpdate, PartitionId, QueryHopId,
-    Result, SamplingWorkerId, ServingWorkerId, Timestamp, VertexId, VertexType, VertexUpdate,
+    hash::route, Decode, EdgeUpdate, Encode, FxHashMap, GraphUpdate, HeliosError, PartitionId,
+    QueryHopId, Result, SamplingWorkerId, ServingWorkerId, Timestamp, VertexId, VertexType,
+    VertexUpdate,
 };
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -47,12 +55,6 @@ use std::time::Instant;
 pub mod topics {
     /// Graph-update stream (M partitions, one per sampling worker).
     pub const UPDATES: &str = "updates";
-    /// Inter-sampling-worker subscription control (M partitions).
-    pub const CONTROL: &str = "control";
-    /// Membership / rescale broadcasts (M partitions; the deployment
-    /// writes every message to all partitions so each sampling worker
-    /// sees the full epoch sequence on its own partition).
-    pub const MEMBERSHIP: &str = "membership";
     /// Sample queue of one serving worker.
     pub fn samples(sew: u32) -> String {
         format!("samples-{sew}")
@@ -69,7 +71,8 @@ pub struct SamplerMetrics {
     /// Update records fully processed by sampling threads: counted when
     /// the drain that handled them has flushed its output.
     pub updates_processed: Arc<Counter>,
-    /// Control records dispatched by the control polling thread.
+    /// Control messages this worker's shards sent to a shard mailbox,
+    /// counted before the send.
     pub control_dispatched: Arc<Counter>,
     /// Control records fully processed (counted at flush, like updates).
     pub control_processed: Arc<Counter>,
@@ -150,10 +153,14 @@ impl SamplerMetrics {
     }
 }
 
+/// Every sampling worker's shard mailboxes, indexed by worker id: where
+/// a flush sends its control messages. Set once, before any shard
+/// handles a message.
+type Mailboxes = Arc<OnceLock<Vec<Arc<ShardedPool<ShardMsg>>>>>;
+
 /// Context shared by all shards of one sampling worker.
 struct Ctx {
     worker: SamplingWorkerId,
-    m: usize,
     /// Epoch-versioned seed→serving-worker routing, shared with the
     /// deployment front-end. Installed tables change where *new* implicit
     /// seed subscriptions go; existing subscriptions move via the
@@ -166,7 +173,7 @@ struct Ctx {
     /// worker. Invalidated when a commit shrinks or re-creates topics so
     /// a stale `Arc<Topic>` can never shadow a re-created queue.
     sample_topics: RwLock<FxHashMap<u32, Arc<helios_mq::Topic>>>,
-    control_topic: Arc<helios_mq::Topic>,
+    mailboxes: Mailboxes,
     metrics: Arc<SamplerMetrics>,
     recorder: Arc<FlightRecorder>,
 }
@@ -174,25 +181,24 @@ struct Ctx {
 impl Ctx {
     fn new(
         worker: SamplingWorkerId,
-        m: usize,
         query: &KHopQuery,
         broker: &Arc<Broker>,
         router: Arc<Router>,
+        mailboxes: Mailboxes,
         metrics: Arc<SamplerMetrics>,
         recorder: Arc<FlightRecorder>,
-    ) -> Result<Ctx> {
-        Ok(Ctx {
+    ) -> Ctx {
+        Ctx {
             worker,
-            m,
             router,
             dag: query.dag(),
             seed_type: query.seed_type(),
             broker: Arc::clone(broker),
             sample_topics: RwLock::new(FxHashMap::default()),
-            control_topic: broker.topic(topics::CONTROL)?,
+            mailboxes,
             metrics,
             recorder,
-        })
+        }
     }
 
     #[inline]
@@ -233,17 +239,15 @@ impl Ctx {
         }
     }
 
-    /// Send a batch of control messages, waking control consumers once
-    /// for the whole batch ([`helios_mq::Topic::produce_many_to`])
-    /// instead of once per message.
-    fn send_controls(&self, msgs: impl IntoIterator<Item = ControlMsg>) {
-        let _ = self
-            .control_topic
-            .produce_many_to(msgs.into_iter().map(|msg| {
-                let v = msg.target_vertex();
-                let partition = PartitionId(route(v.raw(), self.m) as u32);
-                (partition, v.raw(), msg.encode_to_bytes())
-            }));
+    /// Send `msg` to the shard that owns its target vertex `v`: shard
+    /// `shard_hash(v) % n` of worker `route(v, M)`.
+    fn send_control(&self, msg: ControlMsg) {
+        let pools = self
+            .mailboxes
+            .get()
+            .expect("mailboxes are set before any shard handles a message");
+        let v = msg.target_vertex().raw();
+        pools[route(v, pools.len())].send(v, ShardMsg::Control(msg));
     }
 }
 
@@ -317,7 +321,7 @@ impl Owed {
 
 /// Which rescale scan a shard should run (see `handle_rescale`).
 #[derive(Clone, Copy, Debug)]
-enum RescalePhase {
+pub(crate) enum RescalePhase {
     /// Charge the pending table's new owners of moved seeds; routing and
     /// the `seeds` map stay on the committed table.
     Prepare,
@@ -977,9 +981,10 @@ impl Actor for SamplerShard {
     /// Publish what the drain owes: per sample topic, one record per
     /// owed `(hop, key)` and `vertex` — the state now if the worker is
     /// still subscribed, an eviction otherwise — in one produce; then the
-    /// net refcount change per control target as `|net|` messages in one
-    /// produce. Only then does the drain count as processed, so the drain
-    /// equation never reads drained while its output is unsent.
+    /// net refcount change per control target as `|net|` messages, each
+    /// counted as sent and then put in its owner's mailbox. Only then does
+    /// the drain count as processed, so the drain equation never reads
+    /// drained while its output is unsent.
     fn flush(&mut self) {
         if self.owed_samples.is_empty()
             && self.owed_features.is_empty()
@@ -1055,10 +1060,13 @@ impl Actor for SamplerShard {
             self.ctx.publish_samples(sew, batch);
         }
         if !self.controls.is_empty() {
-            self.ctx
-                .send_controls(self.controls.drain().flat_map(|(target, net)| {
-                    std::iter::repeat_n(target.msg(net > 0), net.unsigned_abs() as usize)
-                }));
+            let sent = self.controls.values().map(|net| net.unsigned_abs()).sum();
+            self.ctx.metrics.control_dispatched.add(sent);
+            for (target, net) in self.controls.drain() {
+                for _ in 0..net.unsigned_abs() {
+                    self.ctx.send_control(target.msg(net > 0));
+                }
+            }
         }
         let metrics = &self.ctx.metrics;
         metrics
@@ -1072,253 +1080,134 @@ impl Actor for SamplerShard {
     }
 }
 
-/// A running sampling worker: polling threads + sampling shard pool.
+/// A running sampling worker: one polling thread + sampling shard pool.
 pub struct SamplingWorker {
     id: SamplingWorkerId,
     ctx: Arc<Ctx>,
     shards: Arc<ShardedPool<ShardMsg>>,
     metrics: Arc<SamplerMetrics>,
     stop: Arc<AtomicBool>,
-    /// Highest route-table epoch whose Prepare scan every shard has run.
-    prepared_epoch: Arc<AtomicU64>,
-    /// Highest route-table epoch whose Commit scan every shard has run.
-    committed_epoch: Arc<AtomicU64>,
-    pollers: Mutex<Vec<JoinHandle<()>>>,
+    poller: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// The acks owed by the shards one [`each_shard`] message went to.
+pub(crate) struct Acks<R> {
+    rx: crossbeam::channel::Receiver<R>,
+    owed: usize,
+}
+
+impl<R> Acks<R> {
+    /// Wait for every shard's ack. With a `deadline`, the deadline comes
+    /// first: once it has passed this fails, even if every ack is in.
+    pub(crate) fn wait(self, deadline: Option<Instant>, what: &str) -> Result<Vec<R>> {
+        use crossbeam::channel::RecvTimeoutError;
+        let mut acks = Vec::with_capacity(self.owed);
+        while acks.len() < self.owed {
+            let ack = match deadline {
+                Some(d) => self.rx.recv_deadline(d),
+                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match ack {
+                Ok(ack) => acks.push(ack),
+                Err(RecvTimeoutError::Timeout) => break,
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(HeliosError::Disconnected(format!("{what} ack")));
+                }
+            }
+        }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(HeliosError::Timeout(format!(
+                "{what} not acked by every shard before the deadline"
+            )));
+        }
+        Ok(acks)
+    }
+}
+
+/// Send `msg(ack)` to every shard of `workers`; each shard answers on
+/// `ack` once it has handled it (between two flushes).
+fn each_shard<R>(
+    workers: &[SamplingWorker],
+    msg: impl Fn(crossbeam::channel::Sender<R>) -> ShardMsg,
+) -> Acks<R> {
+    let owed = workers.iter().map(|w| w.shards.shards()).sum();
+    let (tx, rx) = crossbeam::channel::bounded(owed);
+    for w in workers {
+        for i in 0..w.shards.shards() {
+            w.shards.send_to(i, msg(tx.clone()));
+        }
+    }
+    Acks { rx, owed }
 }
 
 impl SamplingWorker {
-    /// Start sampling worker `id` of `m`, routing seeds to serving
-    /// workers through `router`. Counters register as
-    /// `sampler.*{worker=<id>}` in `registry`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start(
-        id: SamplingWorkerId,
+    /// Start sampling workers `0..M`, routing seeds to serving workers
+    /// through `router`, each with a `saw<id>` heartbeat on
+    /// `coordinator`. Counters register as `sampler.*{worker=<id>}` in
+    /// `registry`. Every worker's shard mailboxes exist before any
+    /// updates poller starts, so a flush can always reach the owner of a
+    /// control message's target.
+    pub(crate) fn start_all(
         config: &HeliosConfig,
         query: &KHopQuery,
         broker: &Arc<Broker>,
-        router: Arc<Router>,
-        beacon: Beacon,
+        router: &Arc<Router>,
+        coordinator: &Coordinator,
         registry: &Registry,
         recorder: &Arc<FlightRecorder>,
-    ) -> Result<SamplingWorker> {
-        let m = config.sampling_workers;
-        let metrics = Arc::new(SamplerMetrics::registered(
-            registry,
-            id.0,
-            config.sampling_threads,
-        ));
-        let ctx = Arc::new(Ctx::new(
-            id,
-            m,
-            query,
-            broker,
-            router,
-            Arc::clone(&metrics),
-            Arc::clone(recorder),
-        )?);
-        let pool_ctx = Arc::clone(&ctx);
-        let shards = Arc::new(ShardedPool::new(
-            &format!("saw{}-sampler", id.0),
-            config.sampling_threads,
-            move |i| SamplerShard::new(Arc::clone(&pool_ctx), i),
-        ));
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut pollers = Vec::new();
-
-        // Updates polling thread.
-        {
-            let mut consumer = broker.consumer(
-                &format!("saw-{}", id.0),
-                topics::UPDATES,
-                &[PartitionId(id.0)],
-            )?;
-            let shards = Arc::clone(&shards);
-            let stop = Arc::clone(&stop);
-            let metrics = Arc::clone(&metrics);
-            let beacon2 = beacon.clone();
-            pollers.push(
-                std::thread::Builder::new()
-                    .name(format!("saw{}-poll-updates", id.0))
-                    .spawn(move || {
-                        let _token = helios_types::profile::register_thread(format!(
-                            "saw{}-poll-updates",
-                            id.0
-                        ));
-                        while !stop.load(Ordering::Relaxed) {
-                            beacon2.beat();
-                            let recs = consumer.poll(POLL_BATCH, POLL_TIMEOUT);
-                            let consumed_at = if recs.is_empty() { 0 } else { now_nanos() };
-                            for rec in recs {
-                                if rec.produced_at > 0 {
-                                    metrics
-                                        .update_dwell
-                                        .record(consumed_at.saturating_sub(rec.produced_at));
-                                }
-                                match UpdateEnvelope::decode_from_slice(&rec.payload) {
-                                    Ok(mut env) => {
-                                        let key = env.update.routing_vertex().raw();
-                                        metrics.updates_dispatched.incr();
-                                        // Nest the shard's work under a
-                                        // dispatch span so the trace shows
-                                        // the poll → shard handoff.
-                                        let poll_span = span("sampler.poll", env.trace);
-                                        env.trace = poll_span.ctx();
-                                        shards.send(key, ShardMsg::Update(env));
-                                    }
-                                    Err(_) => {
-                                        // Corrupt record: count it processed so
-                                        // drain accounting stays consistent.
-                                        metrics.updates_dispatched.incr();
-                                        metrics.updates_processed.incr();
-                                    }
-                                }
-                            }
-                            // Soft backpressure: let sampling threads drain.
-                            while shards.backlog() > 100_000 && !stop.load(Ordering::Relaxed) {
-                                std::thread::sleep(std::time::Duration::from_millis(1));
-                            }
-                        }
-                    })
-                    .expect("spawn updates poller"),
-            );
+    ) -> Result<Vec<SamplingWorker>> {
+        let mailboxes = Mailboxes::default();
+        let m = config.sampling_workers as u32;
+        let (workers, consumers): (Vec<SamplingWorker>, Vec<Consumer>) = (0..m)
+            .map(|w| {
+                let id = SamplingWorkerId(w);
+                let consumer =
+                    broker.consumer(&format!("saw-{w}"), topics::UPDATES, &[PartitionId(w)])?;
+                let metrics = Arc::new(SamplerMetrics::registered(
+                    registry,
+                    w,
+                    config.sampling_threads,
+                ));
+                let ctx = Arc::new(Ctx::new(
+                    id,
+                    query,
+                    broker,
+                    Arc::clone(router),
+                    Arc::clone(&mailboxes),
+                    Arc::clone(&metrics),
+                    Arc::clone(recorder),
+                ));
+                let pool_ctx = Arc::clone(&ctx);
+                let shards = Arc::new(ShardedPool::new(
+                    &format!("saw{w}-sampler"),
+                    config.sampling_threads,
+                    move |i| SamplerShard::new(Arc::clone(&pool_ctx), i),
+                ));
+                let worker = SamplingWorker {
+                    id,
+                    ctx,
+                    shards,
+                    metrics,
+                    stop: Arc::new(AtomicBool::new(false)),
+                    poller: Mutex::new(None),
+                };
+                Ok((worker, consumer))
+            })
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        let _ = mailboxes.set(workers.iter().map(|w| Arc::clone(&w.shards)).collect());
+        for (w, consumer) in workers.iter().zip(consumers) {
+            let beacon = coordinator.register_worker(&format!("saw{}", w.id.0));
+            let (id, shards) = (w.id, Arc::clone(&w.shards));
+            let (stop, metrics) = (Arc::clone(&w.stop), Arc::clone(&w.metrics));
+            let poller = std::thread::Builder::new()
+                .name(format!("saw{}-poll-updates", id.0))
+                .spawn(move || poll_updates(id, consumer, &shards, &stop, &metrics, &beacon))
+                .expect("spawn updates poller");
+            *w.poller.lock() = Some(poller);
         }
-
-        // Control polling thread.
-        {
-            let mut consumer = broker.consumer(
-                &format!("saw-ctl-{}", id.0),
-                topics::CONTROL,
-                &[PartitionId(id.0)],
-            )?;
-            let shards = Arc::clone(&shards);
-            let stop = Arc::clone(&stop);
-            let metrics = Arc::clone(&metrics);
-            pollers.push(
-                std::thread::Builder::new()
-                    .name(format!("saw{}-poll-control", id.0))
-                    .spawn(move || {
-                        let _token = helios_types::profile::register_thread(format!(
-                            "saw{}-poll-control",
-                            id.0
-                        ));
-                        while !stop.load(Ordering::Relaxed) {
-                            beacon.beat();
-                            let recs = consumer.poll(POLL_BATCH, POLL_TIMEOUT);
-                            for rec in recs {
-                                match ControlMsg::decode_from_slice(&rec.payload) {
-                                    Ok(msg) => {
-                                        let key = msg.target_vertex().raw();
-                                        metrics.control_dispatched.incr();
-                                        shards.send(key, ShardMsg::Control(msg));
-                                    }
-                                    Err(_) => {
-                                        metrics.control_dispatched.incr();
-                                        metrics.control_processed.incr();
-                                    }
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn control poller"),
-            );
-        }
-
-        let prepared_epoch = Arc::new(AtomicU64::new(0));
-        let committed_epoch = Arc::new(AtomicU64::new(0));
-
-        // Membership polling thread: applies Prepare/Commit rescale
-        // broadcasts. Each message is fanned out to every shard and the
-        // acks are awaited before the epoch watermark advances, so the
-        // deployment can tell when *all* shards of this worker have run a
-        // scan. Commit additionally installs the table (new traffic
-        // routes to new owners) and invalidates cached topic handles.
-        if let Ok(mut consumer) = broker.consumer(
-            &format!("saw-mbr-{}", id.0),
-            topics::MEMBERSHIP,
-            &[PartitionId(id.0)],
-        ) {
-            let shards = Arc::clone(&shards);
-            let stop = Arc::clone(&stop);
-            let ctx2 = Arc::clone(&ctx);
-            let prepared = Arc::clone(&prepared_epoch);
-            let committed = Arc::clone(&committed_epoch);
-            pollers.push(
-                std::thread::Builder::new()
-                    .name(format!("saw{}-poll-membership", id.0))
-                    .spawn(move || {
-                        let _token = helios_types::profile::register_thread(format!(
-                            "saw{}-poll-membership",
-                            id.0
-                        ));
-                        while !stop.load(Ordering::Relaxed) {
-                            for rec in consumer.poll(64, POLL_TIMEOUT) {
-                                let msg = match MembershipMsg::decode_from_slice(&rec.payload) {
-                                    Ok(m) => m,
-                                    Err(_) => continue,
-                                };
-                                let (phase, table) = match msg {
-                                    MembershipMsg::Prepare { table } => {
-                                        (RescalePhase::Prepare, Arc::new(table))
-                                    }
-                                    MembershipMsg::Commit { table } => {
-                                        (RescalePhase::Commit, Arc::new(table))
-                                    }
-                                    MembershipMsg::Abort { table } => {
-                                        (RescalePhase::Abort, Arc::new(table))
-                                    }
-                                };
-                                if matches!(phase, RescalePhase::Commit) {
-                                    ctx2.router.install(Arc::clone(&table));
-                                    ctx2.invalidate_sample_topics(table.workers() as u32);
-                                }
-                                let (tx, rx) = crossbeam::channel::bounded(shards.shards());
-                                for i in 0..shards.shards() {
-                                    shards.send_to(
-                                        i,
-                                        ShardMsg::Rescale {
-                                            table: Arc::clone(&table),
-                                            phase,
-                                            ack: tx.clone(),
-                                        },
-                                    );
-                                }
-                                drop(tx);
-                                for _ in 0..shards.shards() {
-                                    if rx.recv().is_err() {
-                                        break;
-                                    }
-                                }
-                                match phase {
-                                    RescalePhase::Prepare => {
-                                        prepared.fetch_max(table.epoch(), Ordering::SeqCst);
-                                    }
-                                    RescalePhase::Commit => {
-                                        committed.fetch_max(table.epoch(), Ordering::SeqCst);
-                                    }
-                                    // Aborts are fire-and-forget: nothing
-                                    // awaits them (FIFO ordering alone
-                                    // guarantees they run before a retry's
-                                    // Prepare scan).
-                                    RescalePhase::Abort | RescalePhase::Rebuild => {}
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn membership poller"),
-            );
-        }
-
-        Ok(SamplingWorker {
-            id,
-            ctx,
-            shards,
-            metrics,
-            stop,
-            prepared_epoch,
-            committed_epoch,
-            pollers: Mutex::new(pollers),
-        })
+        Ok(workers)
     }
 
     /// Worker id.
@@ -1345,61 +1234,29 @@ impl SamplingWorker {
 
     /// Checkpoint all shard state into `dir`; blocks until done.
     pub fn checkpoint(&self, dir: &std::path::Path) -> Result<()> {
-        let (tx, rx) = crossbeam::channel::bounded(self.shards.shards());
-        for i in 0..self.shards.shards() {
-            self.shards
-                .send_to(i, ShardMsg::Checkpoint(dir.to_path_buf(), tx.clone()));
-        }
-        for _ in 0..self.shards.shards() {
-            rx.recv()
-                .map_err(|_| helios_types::HeliosError::Disconnected("checkpoint ack".into()))??;
-        }
-        Ok(())
+        each_shard(std::slice::from_ref(self), |ack| {
+            ShardMsg::Checkpoint(dir.to_path_buf(), ack)
+        })
+        .wait(None, "checkpoint")?
+        .into_iter()
+        .collect()
     }
 
     /// Restore shard state from `dir`; blocks until done. Call before any
     /// updates are ingested.
     pub fn restore(&self, dir: &std::path::Path) -> Result<()> {
-        let (tx, rx) = crossbeam::channel::bounded(self.shards.shards());
-        for i in 0..self.shards.shards() {
-            self.shards
-                .send_to(i, ShardMsg::Restore(dir.to_path_buf(), tx.clone()));
-        }
-        for _ in 0..self.shards.shards() {
-            rx.recv()
-                .map_err(|_| helios_types::HeliosError::Disconnected("restore ack".into()))??;
-        }
-        Ok(())
-    }
-
-    /// Highest route-table epoch whose Prepare scan has completed on
-    /// every shard of this worker.
-    pub fn prepared_epoch(&self) -> u64 {
-        self.prepared_epoch.load(Ordering::SeqCst)
-    }
-
-    /// Highest route-table epoch whose Commit scan has completed on every
-    /// shard of this worker.
-    pub fn committed_epoch(&self) -> u64 {
-        self.committed_epoch.load(Ordering::SeqCst)
+        each_shard(std::slice::from_ref(self), |ack| {
+            ShardMsg::Restore(dir.to_path_buf(), ack)
+        })
+        .wait(None, "restore")?
+        .into_iter()
+        .collect()
     }
 
     /// Deep-copy every shard's sampling state (consistent per shard, not
     /// across shards — quiesce first for a global view).
     pub fn inspect(&self) -> Result<Vec<ShardSnapshot>> {
-        let (tx, rx) = crossbeam::channel::bounded(self.shards.shards());
-        for i in 0..self.shards.shards() {
-            self.shards.send_to(i, ShardMsg::Inspect(tx.clone()));
-        }
-        drop(tx);
-        let mut out = Vec::with_capacity(self.shards.shards());
-        for _ in 0..self.shards.shards() {
-            out.push(
-                rx.recv()
-                    .map_err(|_| helios_types::HeliosError::Disconnected("inspect ack".into()))?,
-            );
-        }
-        Ok(out)
+        each_shard(std::slice::from_ref(self), ShardMsg::Inspect).wait(None, "inspect")
     }
 
     /// Drop all subscriptions and re-derive them from reservoir contents
@@ -1407,24 +1264,28 @@ impl SamplingWorker {
     /// done. Used after restoring a checkpoint into a different worker
     /// topology, before any traffic flows.
     pub fn rebuild_subscriptions(&self) -> Result<()> {
-        let table = self.ctx.router.table();
-        let (tx, rx) = crossbeam::channel::bounded(self.shards.shards());
-        for i in 0..self.shards.shards() {
-            self.shards.send_to(
-                i,
-                ShardMsg::Rescale {
-                    table: Arc::clone(&table),
-                    phase: RescalePhase::Rebuild,
-                    ack: tx.clone(),
-                },
-            );
-        }
-        drop(tx);
-        for _ in 0..self.shards.shards() {
-            rx.recv()
-                .map_err(|_| helios_types::HeliosError::Disconnected("rebuild ack".into()))?;
-        }
-        Ok(())
+        Self::rescale(
+            std::slice::from_ref(self),
+            &self.ctx.router.table(),
+            RescalePhase::Rebuild,
+        )
+        .wait(None, "rebuild")
+        .map(drop)
+    }
+
+    /// Send one rescale scan against `table` to every shard of `workers`.
+    /// A shard's mailbox is FIFO, so scans run in the order they are
+    /// sent, after whatever the shard was sent before them.
+    pub(crate) fn rescale(
+        workers: &[SamplingWorker],
+        table: &Arc<RouteTable>,
+        phase: RescalePhase,
+    ) -> Acks<()> {
+        each_shard(workers, |ack| ShardMsg::Rescale {
+            table: Arc::clone(table),
+            phase,
+            ack,
+        })
     }
 
     /// Drop cached sample-topic handles outside the live worker set
@@ -1434,15 +1295,54 @@ impl SamplingWorker {
         self.ctx.invalidate_sample_topics(live_workers);
     }
 
-    /// Stop polling and sampling threads (drains shard mailboxes first).
-    /// Idempotent: the tier that owns the worker is shared with probe
-    /// threads, so it stops its workers through `&self`.
+    /// Stop the polling and sampling threads (drains shard mailboxes
+    /// first). Idempotent: the tier that owns the worker is shared with
+    /// probe threads, so it stops its workers through `&self`.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
-        for p in self.pollers.lock().drain(..) {
+        if let Some(p) = self.poller.lock().take() {
             let _ = p.join();
         }
         self.shards.stop();
+    }
+}
+
+/// The updates poller of worker `id`: decode each record of its
+/// partition and send it to the shard that owns its routing vertex.
+fn poll_updates(
+    id: SamplingWorkerId,
+    mut consumer: Consumer,
+    shards: &ShardedPool<ShardMsg>,
+    stop: &AtomicBool,
+    metrics: &SamplerMetrics,
+    beacon: &Beacon,
+) {
+    let _token = helios_types::profile::register_thread(format!("saw{}-poll-updates", id.0));
+    while !stop.load(Ordering::Relaxed) {
+        beacon.beat();
+        let recs = consumer.poll(POLL_BATCH, POLL_TIMEOUT);
+        let consumed_at = if recs.is_empty() { 0 } else { now_nanos() };
+        for rec in recs {
+            if rec.produced_at > 0 {
+                metrics
+                    .update_dwell
+                    .record(consumed_at.saturating_sub(rec.produced_at));
+            }
+            metrics.updates_dispatched.incr();
+            match UpdateEnvelope::decode_from_slice(&rec.payload) {
+                Ok(mut env) => {
+                    let key = env.update.routing_vertex().raw();
+                    // Nest the shard's work under a dispatch span so the
+                    // trace shows the poll → shard handoff.
+                    let poll_span = span("sampler.poll", env.trace);
+                    env.trace = poll_span.ctx();
+                    shards.send(key, ShardMsg::Update(env));
+                }
+                // Corrupt record: count it processed so drain accounting
+                // stays consistent.
+                Err(_) => metrics.updates_processed.incr(),
+            }
+        }
     }
 }
 
@@ -1471,30 +1371,62 @@ mod tests {
             .unwrap()
     }
 
-    /// Shard 0 of the only sampling worker, on a broker holding the
-    /// control topic and `serving` sample queues. Tests drive it through
-    /// `handle` and `flush` directly, so drain boundaries are exact.
-    fn shard(query: &KHopQuery, serving: usize) -> (SamplerShard, Arc<Broker>) {
+    /// A mailbox that hands every message it is sent to the test.
+    struct Sink(crossbeam::channel::Sender<ShardMsg>);
+
+    impl Actor for Sink {
+        type Msg = ShardMsg;
+
+        fn handle(&mut self, msg: ShardMsg) {
+            let _ = self.0.send(msg);
+        }
+    }
+
+    /// Shard 0 of the only sampling worker, on a broker holding
+    /// `serving` sample queues, with its control messages going to a
+    /// [`Sink`]. Tests drive it through `handle` and `flush` directly, so
+    /// drain boundaries are exact.
+    fn shard(
+        query: &KHopQuery,
+        serving: usize,
+    ) -> (
+        SamplerShard,
+        Arc<Broker>,
+        crossbeam::channel::Receiver<ShardMsg>,
+    ) {
         let broker = Broker::new();
-        broker
-            .create_topic(topics::CONTROL, TopicConfig::default())
-            .unwrap();
         for s in 0..serving as u32 {
             broker
                 .create_topic(&topics::samples(s), TopicConfig::default())
                 .unwrap();
         }
+        let (tx, sink) = crossbeam::channel::unbounded();
+        let mailboxes = Mailboxes::default();
+        let _ = mailboxes.set(vec![Arc::new(ShardedPool::new("sink", 1, |_| {
+            Sink(tx.clone())
+        }))]);
         let ctx = Ctx::new(
             SamplingWorkerId(0),
-            1,
             query,
             &broker,
             Arc::new(Router::new(RouteTable::initial(serving, 16))),
+            mailboxes,
             Arc::new(SamplerMetrics::new(1)),
             FlightRecorder::new(16),
-        )
-        .unwrap();
-        (SamplerShard::new(Arc::new(ctx), 0), broker)
+        );
+        (SamplerShard::new(Arc::new(ctx), 0), broker, sink)
+    }
+
+    /// Take `n` control messages from the sink, in the order sent.
+    fn take(sink: &crossbeam::channel::Receiver<ShardMsg>, n: u64) -> Vec<ControlMsg> {
+        (0..n)
+            .map(
+                |_| match sink.recv_timeout(std::time::Duration::from_secs(10)) {
+                    Ok(ShardMsg::Control(c)) => c,
+                    _ => panic!("the sink holds fewer than {n} control messages"),
+                },
+            )
+            .collect()
     }
 
     fn edge(etype: EdgeType, src_type: VertexType, src: u64, dst: u64, ts: u64) -> ShardMsg {
@@ -1509,7 +1441,7 @@ mod tests {
         })))
     }
 
-    /// Every record in `topic`, decoded (nothing reads these topics, so
+    /// Every record in `topic`, decoded (nothing reads these queues, so
     /// the log retains them all).
     fn records<T: Decode>(broker: &Broker, topic: &str) -> Vec<T> {
         let t = broker.topic(topic).unwrap();
@@ -1525,7 +1457,7 @@ mod tests {
             .hop(CLICK, ITEM, 2, SamplingStrategy::TopK)
             .build()
             .unwrap();
-        let (mut shard, broker) = shard(&query, 2);
+        let (mut shard, broker, sink) = shard(&query, 2);
         let owner = shard.ctx.sew_of(VertexId(1));
         let other = ServingWorkerId(1 - owner.0);
         shard.handle(ShardMsg::Control(ControlMsg::SubscribeSamples {
@@ -1561,7 +1493,7 @@ mod tests {
             assert!(*caused_at > 0, "the record carries its earliest cause");
         }
         // Feature refcounts net to the two survivors per subscriber.
-        let controls: Vec<ControlMsg> = records(&broker, topics::CONTROL);
+        let controls = take(&sink, shard.ctx.metrics.control_dispatched.get());
         assert_eq!(controls.len(), 4, "{controls:?}");
         assert!(controls.iter().all(|c| matches!(
             c,
@@ -1571,12 +1503,12 @@ mod tests {
 
     #[test]
     fn a_subscribe_and_unsubscribe_in_one_drain_cancel() {
-        let (mut shard, broker) = shard(&two_hop(), 1);
+        let (mut shard, broker, _sink) = shard(&two_hop(), 1);
         shard.handle(edge(COP, ITEM, 7, 900, 1));
         shard.handle(edge(COP, ITEM, 7, 901, 2));
         shard.flush();
-        let control = broker.topic(topics::CONTROL).unwrap();
-        let sent = control.total_end_offset();
+        let control = Arc::clone(&shard.ctx.metrics.control_dispatched);
+        let sent = control.get();
         let before = shard.snapshot();
         let (hop, vertex, sew) = (QueryHopId(1), VertexId(7), ServingWorkerId(0));
         shard.handle(ShardMsg::Control(ControlMsg::SubscribeSamples {
@@ -1590,7 +1522,7 @@ mod tests {
             sew,
         }));
         shard.flush();
-        assert_eq!(control.total_end_offset(), sent, "no control record");
+        assert_eq!(control.get(), sent, "no control record");
         let after = shard.snapshot();
         assert_eq!(after.sample_subs, before.sample_subs);
         assert_eq!(after.feat_subs, before.feat_subs);
@@ -1604,7 +1536,7 @@ mod tests {
 
     #[test]
     fn processed_counters_move_only_at_flush() {
-        let (mut shard, broker) = shard(&two_hop(), 1);
+        let (mut shard, broker, _sink) = shard(&two_hop(), 1);
         let metrics = Arc::clone(&shard.ctx.metrics);
         shard.handle(edge(CLICK, USER, 1, 100, 1));
         shard.handle(ShardMsg::Control(ControlMsg::SubscribeFeature {
@@ -1625,5 +1557,42 @@ mod tests {
         assert_eq!(records::<SampleMsg>(&broker, &topics::samples(0)).len(), 1);
         shard.flush();
         assert_eq!(counts(), (1, 1), "an empty flush counts nothing");
+    }
+
+    #[test]
+    fn a_sent_control_holds_the_drain_open_until_its_receiver_flushes() {
+        let query = KHopQuery::builder(USER)
+            .hop(CLICK, ITEM, 2, SamplingStrategy::TopK)
+            .build()
+            .unwrap();
+        let (mut sender, _broker, sink) = shard(&query, 1);
+        let mut receiver = SamplerShard::new(Arc::clone(&sender.ctx), 0);
+        let metrics = Arc::clone(&sender.ctx.metrics);
+        // The sampling side of `SamplingTier::watermarks` for one worker.
+        let marks = |backlog| crate::tier::Watermarks {
+            updates_end: 2,
+            updates_done: metrics.updates_processed.get(),
+            control_end: metrics.control_dispatched.get(),
+            control_done: metrics.control_processed.get(),
+            backlog,
+            replicas: 1,
+            queues: Vec::new(),
+        };
+        sender.handle(edge(CLICK, USER, 1, 100, 1));
+        sender.handle(edge(CLICK, USER, 1, 101, 2));
+        sender.flush();
+        // The seed's owner now needs both sampled items' features.
+        assert_eq!(metrics.updates_processed.get(), 2);
+        assert_eq!(marks(2).control_end, 2, "sent counts at the sender's flush");
+        assert_eq!(metrics.control_processed.get(), 0);
+        assert!(!marks(2).drained());
+        for msg in take(&sink, 2) {
+            receiver.handle(ShardMsg::Control(msg));
+        }
+        assert_eq!(metrics.control_processed.get(), 0, "handled is not done");
+        assert!(!marks(0).drained(), "an empty mailbox is not a drain");
+        receiver.flush();
+        assert_eq!(metrics.control_processed.get(), 2);
+        assert!(marks(0).drained());
     }
 }

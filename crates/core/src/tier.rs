@@ -2,8 +2,9 @@
 //! assembly:
 //!
 //! - [`SamplingTier`]: the partitioned update stream, the M sampling
-//!   workers consuming it, the shared seed→worker router and one sample
-//!   queue per serving worker.
+//!   workers consuming it (which send each other control messages and
+//!   take rescale scans straight in their shard mailboxes), the shared
+//!   seed→worker router and one sample queue per serving worker.
 //! - [`ServingTier`]: serving workers (and their replicas), each applying
 //!   its sample queue to a query-aware cache that serving threads read.
 //!
@@ -34,8 +35,7 @@ use helios_query::KHopQuery;
 use helios_telemetry::ops::HealthProbe;
 use helios_telemetry::{EventKind, FlightRecorder, HealthReport, MemAccountant, Registry};
 use helios_types::{
-    hash::route, Decode, Encode, GraphUpdate, MemGauge, PartitionId, Result, SamplingWorkerId,
-    ServingWorkerId,
+    hash::route, Decode, Encode, GraphUpdate, MemGauge, PartitionId, Result, ServingWorkerId,
 };
 use parking_lot::RwLock;
 use std::ops::Range;
@@ -84,16 +84,14 @@ pub struct SamplingTier {
     broker: Arc<Broker>,
     router: Arc<Router>,
     updates: Arc<Topic>,
-    control: Arc<Topic>,
     /// Every topic's retained log bytes, rescale-created queues included.
     mq_log: MemGauge,
     workers: Vec<SamplingWorker>,
 }
 
 impl SamplingTier {
-    /// Create the `updates`/`control`/`membership` topics (one partition
-    /// per sampling worker), one `samples-<s>` queue per serving worker
-    /// and the epoch-0 router. No worker runs until
+    /// Create the `updates` topic (one partition per sampling worker),
+    /// one `samples-<s>` queue per serving worker and the epoch-0 router. No worker runs until
     /// [`SamplingTier::start_workers`], so an assembly can attach the
     /// sample queues' consumers first.
     pub fn create(config: &HeliosConfig) -> Result<SamplingTier> {
@@ -106,8 +104,6 @@ impl SamplingTier {
             ..Default::default()
         };
         let updates = broker.create_topic(topics::UPDATES, topic(m))?;
-        let control = broker.create_topic(topics::CONTROL, topic(m))?;
-        broker.create_topic(topics::MEMBERSHIP, topic(m))?;
         let tier = SamplingTier {
             config: config.clone(),
             broker,
@@ -118,7 +114,6 @@ impl SamplingTier {
                 config.route_slots as usize,
             ))),
             updates,
-            control,
             mq_log,
             workers: Vec::new(),
         };
@@ -144,27 +139,22 @@ impl SamplingTier {
         restore: Option<&Path>,
     ) -> Result<()> {
         plane.accountant().adopt("mq_log", &[], self.mq_log.clone());
-        let (registry, recorder) = (plane.registry(), plane.recorder());
-        for w in 0..self.config.sampling_workers as u32 {
-            let beacon = coordinator.register_worker(&format!("saw{w}"));
-            let worker = SamplingWorker::start(
-                SamplingWorkerId(w),
-                &self.config,
-                query,
-                &self.broker,
-                Arc::clone(&self.router),
-                beacon,
-                registry,
-                recorder,
-            )?;
-            if let Some(dir) = restore {
-                worker.restore(dir)?;
-            }
-            self.workers.push(worker);
-        }
+        let recorder = plane.recorder();
+        self.workers = SamplingWorker::start_all(
+            &self.config,
+            query,
+            &self.broker,
+            &self.router,
+            coordinator,
+            plane.registry(),
+            recorder,
+        )?;
         let Some(dir) = restore else {
             return Ok(());
         };
+        for w in &self.workers {
+            w.restore(dir)?;
+        }
         let raw = match std::fs::read(dir.join(CheckpointManifest::FILE)) {
             Ok(raw) => raw,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
@@ -220,8 +210,10 @@ impl SamplingTier {
 
     /// Ingest one graph update: expand it per the edge partition policy,
     /// stamp each copy and append it to its routing vertex's partition of
-    /// the update stream (the front end of Fig. 5).
+    /// the update stream (the front end of Fig. 5), once at most
+    /// [`MAX_PENDING_UPDATES`] appended updates are unfinished.
     pub(crate) fn ingest(&self, update: &GraphUpdate) -> Result<()> {
+        self.await_sampling_headroom();
         self.updates.produce_many_to(self.routed(update))?;
         Ok(())
     }
@@ -316,7 +308,7 @@ impl SamplingTier {
     /// the fleet's shape — routing epoch, routed serving workers and the
     /// workers whose heartbeats on `coordinator` are older than
     /// [`HEALTH_WORKER_TIMEOUT`] — so `/vars` answers "what shape is the
-    /// fleet in" without scraping the membership topic.
+    /// fleet in".
     pub fn stats_tick(
         self: &Arc<Self>,
         plane: &OpsPlane,
@@ -360,7 +352,11 @@ impl SamplingTier {
     /// fills those in. Ends are read before the counters that chase them.
     pub fn watermarks(&self, queues: u32) -> Watermarks {
         let updates_end = self.updates.total_end_offset();
-        let control_end = self.control.total_end_offset();
+        let control_end = self
+            .workers
+            .iter()
+            .map(|w| w.metrics().control_dispatched.get())
+            .sum();
         let queues = (0..queues)
             .map(|s| {
                 let end = self
@@ -710,9 +706,10 @@ pub struct Watermarks {
     pub updates_end: u64,
     /// Updates the sampling workers finished (corrupt ones included).
     pub updates_done: u64,
-    /// Records appended to `control`.
+    /// Control messages the sampling workers sent to a shard mailbox.
     pub control_end: u64,
-    /// Control messages the sampling workers finished.
+    /// Control messages the sampling workers finished (counted at the
+    /// receiving shard's flush).
     pub control_done: u64,
     /// Messages waiting in sampling-shard mailboxes.
     pub backlog: u64,
@@ -727,7 +724,7 @@ impl Watermarks {
     pub const UPDATES_END: &'static str = "updates_end";
     /// `StatsOk` key: updates finished.
     pub const UPDATES_DONE: &'static str = "updates_done";
-    /// `StatsOk` key: records appended to `control`.
+    /// `StatsOk` key: control messages sent.
     pub const CONTROL_END: &'static str = "control_end";
     /// `StatsOk` key: control messages finished.
     pub const CONTROL_DONE: &'static str = "control_done";
@@ -947,7 +944,33 @@ mod tests {
         let pending = marks.updates_end - marks.updates_done;
         assert!(
             pending <= MAX_PENDING_UPDATES + 2 * POLL_BATCH as u64,
-            "{pending} updates unfinished when ingest returned"
+            "{pending} updates unfinished when ingest_batch returned"
+        );
+        // One update at a time is held back the same way, from several
+        // callers at once: each appends at most two copies past the bound.
+        const CALLERS: usize = 4;
+        let worst = std::thread::scope(|s| {
+            let callers: Vec<_> = edges
+                .chunks(edges.len() / CALLERS)
+                .map(|part| {
+                    let tier = &tier;
+                    s.spawn(move || {
+                        let mut worst = 0;
+                        for e in part {
+                            tier.ingest(e).unwrap();
+                            let pending = tier.updates.total_end_offset() - tier.updates_done();
+                            worst = worst.max(pending);
+                        }
+                        worst
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).max()
+        });
+        let bound = MAX_PENDING_UPDATES + 2 * CALLERS as u64;
+        assert!(
+            worst <= Some(bound),
+            "{worst:?} updates unfinished after an ingest (bound {bound})"
         );
         tier.shutdown();
         plane.shutdown();

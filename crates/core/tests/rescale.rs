@@ -320,8 +320,9 @@ fn a_worker_recreated_by_rescale_still_drains() {
 #[test]
 fn abandoned_rescale_rolls_back_and_burns_epochs() {
     let mut config = HeliosConfig::with_workers(2, 2);
-    // Smallest valid timeout: the deadline expires before the samplers
-    // can possibly ack a prepare scan (that takes a poll round-trip).
+    // Smallest valid timeout: it has passed by the time `scale_to` waits
+    // for the prepare acks, and the deadline is checked first, so the
+    // attempt abandons even if every shard has already acked.
     config.rescale_timeout = Duration::from_nanos(1);
     let helios = HeliosDeployment::start(config, query()).unwrap();
     let chunks = workload(2);

@@ -12,14 +12,12 @@
 //! * [`Router`] — an atomically swappable handle to the current table,
 //!   consulted by every ingest/serve/freshness path instead of the old
 //!   inline `route(seed, N)` hash.
-//! * [`MembershipMsg`] — the wire protocol (Prepare/Commit) that the
-//!   deployment broadcasts to sampling workers over the `membership` mq
-//!   topic during the two-phase handoff.
 //! * [`ScaleController`] — hysteresis-damped scale-out/scale-in decisions
 //!   from the telemetry signals the ops plane already produces (consumer
 //!   lag, freshness SLO burn rate, serve p99).
 //!
-//! The handoff protocol itself (charging new owners via the §5.3
+//! The handoff protocol itself (Prepare, Commit and Abort scans sent to
+//! every sampling shard's mailbox, charging new owners via the §5.3
 //! idempotent subscription-snapshot path, catch-up watermark, commit,
 //! refcounted discharge of old owners) lives in `helios-core::rescale`;
 //! this crate is deliberately mechanism-only so it stays unit-testable
@@ -29,4 +27,4 @@ mod controller;
 mod table;
 
 pub use controller::{ScaleController, ScaleDecision, ScalePolicy, ScaleSignals};
-pub use table::{MembershipMsg, RouteTable, Router};
+pub use table::{RouteTable, Router};

@@ -1,5 +1,5 @@
 //! Epoch-versioned routing: slot-based assignment of seeds to logical
-//! serving workers, and the wire messages that publish it.
+//! serving workers, and the shared handle that publishes it.
 
 use bytes::{Buf, BytesMut};
 use helios_types::{hash::route, Decode, Encode, HeliosError, Result, ServingWorkerId, VertexId};
@@ -229,84 +229,6 @@ impl std::fmt::Debug for Router {
     }
 }
 
-const MBR_PREPARE: u8 = 0;
-const MBR_COMMIT: u8 = 1;
-const MBR_ABORT: u8 = 2;
-
-/// Membership protocol messages, broadcast by the deployment to every
-/// partition of the `membership` topic (one partition per sampling
-/// worker) during a rescale.
-///
-/// * `Prepare` — samplers charge the *new* owners of moved seeds through
-///   the §5.3 subscription path (snapshot push + transitive subscribes)
-///   while live traffic keeps routing by the old table.
-/// * `Commit` — after the catch-up watermark, samplers swap their router
-///   to the new table and discharge the old owners of moved seeds.
-/// * `Abort` — a Prepare that will never commit (the handoff timed out):
-///   samplers discharge the pending owners it charged, so an abandoned
-///   attempt leaks no subscriptions. Per-partition FIFO ordering makes
-///   this safe to send at any point after the matching Prepare: it runs
-///   after that Prepare's scan and before any retry's, and after a
-///   Commit of the same table it matches nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MembershipMsg {
-    /// Phase 1: start charging new owners per `table` (no unsubscribes).
-    Prepare {
-        /// The pending table (epoch > current).
-        table: RouteTable,
-    },
-    /// Phase 2: route by `table`, discharge old owners of moved seeds.
-    Commit {
-        /// The now-authoritative table.
-        table: RouteTable,
-    },
-    /// Roll back an abandoned Prepare: discharge `table`'s pending owners.
-    Abort {
-        /// The abandoned attempt's table.
-        table: RouteTable,
-    },
-}
-
-impl MembershipMsg {
-    /// The table carried by any phase.
-    pub fn table(&self) -> &RouteTable {
-        match self {
-            MembershipMsg::Prepare { table }
-            | MembershipMsg::Commit { table }
-            | MembershipMsg::Abort { table } => table,
-        }
-    }
-}
-
-impl Encode for MembershipMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        let (tag, table) = match self {
-            MembershipMsg::Prepare { table } => (MBR_PREPARE, table),
-            MembershipMsg::Commit { table } => (MBR_COMMIT, table),
-            MembershipMsg::Abort { table } => (MBR_ABORT, table),
-        };
-        buf.extend_from_slice(&[tag]);
-        table.encode(buf);
-    }
-}
-
-impl Decode for MembershipMsg {
-    fn decode(buf: &mut impl Buf) -> Result<Self> {
-        match u8::decode(buf)? {
-            MBR_PREPARE => Ok(MembershipMsg::Prepare {
-                table: RouteTable::decode(buf)?,
-            }),
-            MBR_COMMIT => Ok(MembershipMsg::Commit {
-                table: RouteTable::decode(buf)?,
-            }),
-            MBR_ABORT => Ok(MembershipMsg::Abort {
-                table: RouteTable::decode(buf)?,
-            }),
-            t => Err(HeliosError::Codec(format!("invalid MembershipMsg tag {t}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,27 +317,6 @@ mod tests {
     fn rebalanced_at_rejects_stale_epoch() {
         let t = RouteTable::initial(2, 16).rebalanced(3);
         let _ = t.rebalanced_at(2, 1);
-    }
-
-    #[test]
-    fn roundtrip_wire_messages() {
-        let table = RouteTable::initial(2, 16).rebalanced(3);
-        for msg in [
-            MembershipMsg::Prepare {
-                table: table.clone(),
-            },
-            MembershipMsg::Commit {
-                table: table.clone(),
-            },
-            MembershipMsg::Abort {
-                table: table.clone(),
-            },
-        ] {
-            let back = MembershipMsg::decode_from_slice(&msg.encode_to_bytes()).unwrap();
-            assert_eq!(back, msg);
-            assert_eq!(back.table(), &table);
-        }
-        assert!(MembershipMsg::decode_from_slice(&[9]).is_err());
     }
 
     #[test]

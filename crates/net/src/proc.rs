@@ -5,10 +5,11 @@
 //! workers through in-memory mq topics. Here the same unmodified workers
 //! run in separate OS processes:
 //!
-//! - [`SamplingHost`] owns the update/control/membership topics and the
-//!   sampling workers. Per serving worker, a **relay** thread consumes
-//!   the local `samples-<s>` topic and ships each batch over TCP as a
-//!   `Produce` frame, waiting for the ack before the next batch so the
+//! - [`SamplingHost`] owns the `updates` topic and the sampling workers,
+//!   which send each other control messages through their shard
+//!   mailboxes. Per serving worker, a **relay** thread consumes the local
+//!   `samples-<s>` topic and ships each batch over TCP as a `Produce`
+//!   frame, waiting for the ack before the next batch so the
 //!   per-partition record order — the thing cache convergence depends
 //!   on — is preserved end to end.
 //! - [`ServeHost`] owns one serving worker and its local `samples-<s>`
