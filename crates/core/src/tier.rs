@@ -2,9 +2,9 @@
 //! assembly:
 //!
 //! - [`SamplingTier`]: the partitioned update stream, the M sampling
-//!   workers consuming it (which send each other control messages and
-//!   take rescale scans straight in their shard mailboxes), the shared
-//!   seed→worker router and one sample queue per serving worker.
+//!   workers consuming it (control messages between them and rescale
+//!   scans go straight to their shard mailboxes), the shared seed→worker
+//!   router and one sample queue per serving worker.
 //! - [`ServingTier`]: serving workers (and their replicas), each applying
 //!   its sample queue to a query-aware cache that serving threads read.
 //!
@@ -91,9 +91,9 @@ pub struct SamplingTier {
 
 impl SamplingTier {
     /// Create the `updates` topic (one partition per sampling worker),
-    /// one `samples-<s>` queue per serving worker and the epoch-0 router. No worker runs until
-    /// [`SamplingTier::start_workers`], so an assembly can attach the
-    /// sample queues' consumers first.
+    /// one `samples-<s>` queue per serving worker and the epoch-0 router.
+    /// No worker runs until [`SamplingTier::start_workers`], so an
+    /// assembly can attach the sample queues' consumers first.
     pub fn create(config: &HeliosConfig) -> Result<SamplingTier> {
         let broker = Broker::new();
         let mq_log = MemGauge::new();
@@ -958,7 +958,8 @@ mod tests {
                         let mut worst = 0;
                         for e in part {
                             tier.ingest(e).unwrap();
-                            let pending = tier.updates.total_end_offset() - tier.updates_done();
+                            let end = tier.updates.total_end_offset();
+                            let pending = end.saturating_sub(tier.updates_done());
                             worst = worst.max(pending);
                         }
                         worst
