@@ -74,7 +74,8 @@ pub struct SamplerMetrics {
     /// Control messages this worker's shards sent to a shard mailbox,
     /// counted before the send.
     pub control_dispatched: Arc<Counter>,
-    /// Control records fully processed (counted at flush, like updates).
+    /// Control messages fully processed (counted at the receiving shard's
+    /// flush, like updates).
     pub control_processed: Arc<Counter>,
     /// Sample/feature records published to serving workers, after each
     /// drain coalesced them to one per `(hop, key)` or vertex and worker.
