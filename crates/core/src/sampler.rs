@@ -333,9 +333,13 @@ pub(crate) enum RescalePhase {
     /// owners of would-move seeds (a no-op for anything already
     /// committed), so a timed-out handoff leaks no subscriptions.
     Abort,
-    /// Drop every subscription and re-derive them from reservoir contents
-    /// under the current table (checkpoint restored into a different
-    /// topology).
+    /// Drop every subscription; `seeds` keeps its keys for `Rebuild`
+    /// (checkpoint restored into a different topology).
+    Clear,
+    /// Re-derive the seeds' subscriptions from `seeds` and reservoir
+    /// contents under the current table. Sent only once every shard has
+    /// run `Clear`, so no shard clears a charge another shard's `Rebuild`
+    /// already sent it.
     Rebuild,
 }
 
@@ -720,8 +724,9 @@ impl SamplerShard {
     /// discharge the old owner — the refcounted unsubscribe cascade then
     /// strips everything only the old owner pinned. `Abort` undoes an
     /// abandoned `Prepare` by discharging the pending owners it charged.
-    /// `Rebuild` re-derives the whole subscription tree from reservoir
-    /// contents under the current table (topology-mismatched restore).
+    /// `Clear` then `Rebuild` re-derive the whole subscription tree from
+    /// reservoir contents under the current table (topology-mismatched
+    /// restore).
     fn handle_rescale(&mut self, table: &RouteTable, phase: RescalePhase) {
         match phase {
             RescalePhase::Prepare => {
@@ -765,16 +770,18 @@ impl SamplerShard {
                     self.discharge_seed(v, table.owner_of(v));
                 }
             }
-            RescalePhase::Rebuild => {
-                let mut seeds: Vec<VertexId> = self.seeds.keys().copied().collect();
-                seeds.extend(self.reservoirs[0].iter().map(|(k, _)| k));
-                seeds.sort_unstable();
-                seeds.dedup();
+            RescalePhase::Clear => {
                 for t in &mut self.sample_subs {
                     t.clear();
                 }
                 self.feat_subs.clear();
-                self.seeds.clear();
+            }
+            RescalePhase::Rebuild => {
+                let mut seeds: Vec<VertexId> =
+                    std::mem::take(&mut self.seeds).into_keys().collect();
+                seeds.extend(self.reservoirs[0].iter().map(|(k, _)| k));
+                seeds.sort_unstable();
+                seeds.dedup();
                 for v in seeds {
                     self.ensure_seed_sub(v);
                 }
@@ -1260,18 +1267,20 @@ impl SamplingWorker {
         each_shard(std::slice::from_ref(self), ShardMsg::Inspect).wait(None, "inspect")
     }
 
-    /// Drop all subscriptions and re-derive them from reservoir contents
-    /// under the router's current table; blocks until every shard is
-    /// done. Used after restoring a checkpoint into a different worker
-    /// topology, before any traffic flows.
-    pub fn rebuild_subscriptions(&self) -> Result<()> {
-        Self::rescale(
-            std::slice::from_ref(self),
-            &self.ctx.router.table(),
-            RescalePhase::Rebuild,
-        )
-        .wait(None, "rebuild")
-        .map(drop)
+    /// Drop all subscriptions of `workers` and re-derive them from
+    /// reservoir contents under `table`; blocks until every shard is
+    /// done. Every shard clears before any shard re-derives, because a
+    /// shard's re-derive sends charges to other workers' shards. Used
+    /// after restoring a checkpoint into a different worker topology,
+    /// before any traffic flows.
+    pub(crate) fn rebuild_subscriptions(
+        workers: &[SamplingWorker],
+        table: &Arc<RouteTable>,
+    ) -> Result<()> {
+        Self::rescale(workers, table, RescalePhase::Clear).wait(None, "clear")?;
+        Self::rescale(workers, table, RescalePhase::Rebuild)
+            .wait(None, "rebuild")
+            .map(drop)
     }
 
     /// Send one rescale scan against `table` to every shard of `workers`.
@@ -1494,8 +1503,13 @@ mod tests {
             assert!(*caused_at > 0, "the record carries its earliest cause");
         }
         // Feature refcounts net to the two survivors per subscriber.
-        let controls = take(&sink, shard.ctx.metrics.control_dispatched.get());
-        assert_eq!(controls.len(), 4, "{controls:?}");
+        let controls = take(&sink, 4);
+        assert_eq!(shard.ctx.metrics.control_dispatched.get(), 4);
+        assert!(
+            sink.recv_timeout(std::time::Duration::from_millis(200))
+                .is_err(),
+            "the sink holds more than 4 control messages"
+        );
         assert!(controls.iter().all(|c| matches!(
             c,
             ControlMsg::SubscribeFeature { vertex, .. } if vertex.raw() >= 148

@@ -172,9 +172,7 @@ impl SamplingTier {
                 self.config.serving_workers as u64,
                 u64::from(manifest.sampling_workers),
             );
-            for w in &self.workers {
-                w.rebuild_subscriptions()?;
-            }
+            SamplingWorker::rebuild_subscriptions(&self.workers, &self.router.table())?;
         }
         Ok(())
     }

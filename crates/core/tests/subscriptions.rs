@@ -198,7 +198,7 @@ fn diamond_refcounts() {
 // whatever interleaving of subscribes, unsubscribes, replacements and TTL
 // evictions the stream produced, after a quiesce the subscription state
 // must be exactly what a from-scratch derivation over the live reservoir
-// contents would produce (the same derivation `Rescale::Rebuild` runs).
+// contents would produce (the same derivation a `Rebuild` scan runs).
 // Any drift is a leak (stale subs pin evicted cache entries forever) or an
 // over-eviction (live entries lose their subscription and go stale).
 
@@ -260,31 +260,39 @@ fn churn_ops(seed: u64) -> Vec<ChurnOp> {
         .collect()
 }
 
-fn churn_case(seed: u64, ops: &[ChurnOp], batched: bool) {
-    let q = KHopQuery::builder(USER)
+fn churn_query() -> KHopQuery {
+    KHopQuery::builder(USER)
         .hop(CLICK, ITEM, 2, SamplingStrategy::TopK)
         .hop(COP, ITEM, 1, SamplingStrategy::TopK)
         .build()
-        .unwrap();
-    let helios = HeliosDeployment::start(HeliosConfig::with_workers(2, 2), q).unwrap();
+        .unwrap()
+}
+
+/// The update `op` ingests at `ts`; `None` for `Expire`.
+fn churn_update(op: &ChurnOp, ts: u64) -> Option<GraphUpdate> {
+    Some(match *op {
+        ChurnOp::Click(u, i) => edge(CLICK, USER, u, ITEM, i, ts),
+        ChurnOp::Cop(i, j) => edge(COP, ITEM, i, ITEM, j, ts),
+        ChurnOp::UserVertex(u) => vertex(u, USER, ts),
+        ChurnOp::ItemVertex(i) => vertex(i, ITEM, ts),
+        ChurnOp::Expire => return None,
+    })
+}
+
+fn churn_case(seed: u64, ops: &[ChurnOp], batched: bool) {
+    let helios = HeliosDeployment::start(HeliosConfig::with_workers(2, 2), churn_query()).unwrap();
 
     let mut ts = 0u64;
     let mut horizon = None;
     let mut pending = Vec::new();
     for op in ops {
         ts += 1;
-        let update = match *op {
-            ChurnOp::Click(u, i) => edge(CLICK, USER, u, ITEM, i, ts),
-            ChurnOp::Cop(i, j) => edge(COP, ITEM, i, ITEM, j, ts),
-            ChurnOp::UserVertex(u) => vertex(u, USER, ts),
-            ChurnOp::ItemVertex(i) => vertex(i, ITEM, ts),
-            ChurnOp::Expire => {
-                helios.ingest_batch(&std::mem::take(&mut pending)).unwrap();
-                let h = Timestamp(ts.saturating_sub(10));
-                helios.expire_before(h).unwrap();
-                horizon = Some(h);
-                continue;
-            }
+        let Some(update) = churn_update(op, ts) else {
+            helios.ingest_batch(&std::mem::take(&mut pending)).unwrap();
+            let h = Timestamp(ts.saturating_sub(10));
+            helios.expire_before(h).unwrap();
+            horizon = Some(h);
+            continue;
         };
         if batched {
             pending.push(update);
@@ -313,6 +321,45 @@ fn churn_case(seed: u64, ops: &[ChurnOp], batched: bool) {
     let (res, subs) = check_subscriptions(seed, &helios);
     check_caches(seed, &helios, &res, &subs);
     helios.shutdown();
+}
+
+/// A checkpoint restored into a different topology re-derives every
+/// subscription. With two sampling workers, one worker's re-derive
+/// charges hop-1 cells and features on the other worker's shards; the
+/// other worker's own re-derive must not wipe those charges.
+#[test]
+fn rebuild_after_a_topology_change_keeps_cross_worker_charges() {
+    for seed in 1..=4u64 {
+        let dir =
+            std::env::temp_dir().join(format!("helios-rebuild-ckpt-{}-{seed}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let updates: Vec<GraphUpdate> = (1..)
+            .zip(churn_ops(seed).iter())
+            .filter_map(|(ts, op)| churn_update(op, ts))
+            .collect();
+        {
+            let helios =
+                HeliosDeployment::start(HeliosConfig::with_workers(2, 1), churn_query()).unwrap();
+            helios.ingest_batch(&updates).unwrap();
+            assert!(helios.quiesce(SETTLE), "seed {seed}: failed to quiesce");
+            helios.checkpoint(&dir).unwrap();
+            helios.shutdown();
+        }
+        let helios = HeliosDeployment::start_from_checkpoint(
+            HeliosConfig::with_workers(2, 2),
+            churn_query(),
+            &dir,
+        )
+        .unwrap();
+        assert!(
+            helios.quiesce(SETTLE),
+            "seed {seed}: rebuild failed to quiesce"
+        );
+        let (res, subs) = check_subscriptions(seed, &helios);
+        check_caches(seed, &helios, &res, &subs);
+        helios.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Assert the refcounts equal their from-scratch derivation over the
