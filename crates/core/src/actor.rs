@@ -253,12 +253,6 @@ impl Liveness {
             .collect()
     }
 
-    /// Remove a worker from the registry (scale-in). Its beacon becomes
-    /// inert; a name registered more than once loses every entry.
-    pub fn deregister(&self, name: &str) {
-        self.workers.lock().retain(|(n, _)| n != name);
-    }
-
     /// Number of registered workers.
     pub fn worker_count(&self) -> usize {
         self.workers.lock().len()
@@ -398,23 +392,6 @@ mod tests {
         assert_eq!(dead, vec!["sampler-1".to_string()]);
         let dead = live.dead_workers(Duration::from_secs(10));
         assert!(dead.is_empty());
-    }
-
-    #[test]
-    fn liveness_deregister_removes_worker() {
-        let live = Liveness::new();
-        let _b0 = live.register("serving-0");
-        let _b1 = live.register("serving-1");
-        assert_eq!(live.worker_count(), 2);
-        live.deregister("serving-1");
-        assert_eq!(live.worker_count(), 1);
-        // A departed worker that stops beating no longer reads as dead.
-        std::thread::sleep(Duration::from_millis(30));
-        _b0.beat();
-        assert!(live.dead_workers(Duration::from_millis(20)).is_empty());
-        // Deregistering an unknown name is a no-op.
-        live.deregister("serving-9");
-        assert_eq!(live.worker_count(), 1);
     }
 
     /// Records the size of each drain it flushes.

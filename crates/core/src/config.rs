@@ -115,13 +115,10 @@ pub struct HeliosConfig {
     /// Decode errors per stats tick that count as a spike and trigger a
     /// flight-recorder anomaly dump.
     pub decode_error_spike: u64,
-    /// Routing-table slots seeds hash into before the slot→worker lookup.
-    /// Fixed for the deployment's lifetime; must be ≥ every worker count
-    /// the deployment can scale to (slots, not workers, bound elasticity).
+    /// Routing-table slots seeds hash into before the slot→worker lookup;
+    /// must be ≥ `serving_workers`. Every process of a deployment builds
+    /// the same table from it.
     pub route_slots: u32,
-    /// Deadline for one `scale_to` handoff to reach its catch-up
-    /// watermark before the rescale is abandoned.
-    pub rescale_timeout: Duration,
     /// Probability in `[0, 1]` that a request/update with no upstream
     /// trace context starts a new trace (head sampling). `1.0` traces
     /// everything (tests), `0.01` is a production-style rate. The
@@ -166,7 +163,6 @@ impl Default for HeliosConfig {
             health_max_lag: 100_000,
             decode_error_spike: 100,
             route_slots: 64,
-            rescale_timeout: Duration::from_secs(30),
             trace_sample: 1.0,
             trace_slow_threshold: Duration::from_millis(10),
             retained_traces: 256,
@@ -235,11 +231,8 @@ impl HeliosConfig {
         }
         if (self.route_slots as usize) < self.serving_workers {
             return Err(InvalidConfig(
-                "route_slots must be >= serving_workers (slots bound elasticity)".into(),
+                "route_slots must be >= serving_workers".into(),
             ));
-        }
-        if self.rescale_timeout.is_zero() {
-            return Err(InvalidConfig("rescale timeout must be positive".into()));
         }
         if !self.trace_sample.is_finite() || !(0.0..=1.0).contains(&self.trace_sample) {
             return Err(InvalidConfig(
@@ -301,7 +294,6 @@ mod tests {
             },
             |c: &mut HeliosConfig| c.decode_error_spike = 0,
             |c: &mut HeliosConfig| c.route_slots = 1,
-            |c: &mut HeliosConfig| c.rescale_timeout = Duration::ZERO,
             |c: &mut HeliosConfig| c.trace_sample = -0.1,
             |c: &mut HeliosConfig| c.trace_sample = 1.5,
             |c: &mut HeliosConfig| c.trace_sample = f64::NAN,

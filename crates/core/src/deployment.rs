@@ -8,12 +8,12 @@ use crate::plane::OpsPlane;
 use crate::sampler::{SamplerMetrics, SamplingWorker};
 use crate::serving::ServingWorker;
 use crate::tier::{SamplingTier, ServingTier, Watermarks};
-use helios_membership::Router;
+use helios_membership::RouteTable;
 use helios_mq::Broker;
 use helios_query::{KHopQuery, SampledSubgraph};
 use helios_telemetry::ops::HealthProbe;
 use helios_telemetry::{
-    span, DynRoutes, EventKind, FlightRecorder, HealthReport, Histogram, MemAccountant, Registry,
+    span, EventKind, FlightRecorder, HealthReport, Histogram, MemAccountant, Registry,
     RegistrySnapshot, RetainedTraces, SloTracker, StatsReporter, TraceCtx,
 };
 use helios_types::{GraphUpdate, HeliosError, Result, Timestamp, VertexId, VertexUpdate};
@@ -30,12 +30,11 @@ pub type CheckpointGuard = StatsReporter;
 pub struct HeliosDeployment {
     pub(crate) config: HeliosConfig,
     pub(crate) coordinator: Coordinator,
-    /// Topics, router and sampling workers. The router is epoch-versioned
-    /// and shared with every sampling worker: the front-end routes serves
-    /// through it; a rescale installs the committed table there after the
-    /// handoff watermark.
+    /// Topics, route table and sampling workers. The front-end routes
+    /// serves through the same table the sampling workers route
+    /// subscriptions by.
     pub(crate) tier: Arc<SamplingTier>,
-    /// The live serving fleet; a rescale extends or truncates it.
+    /// The serving fleet, fixed for the deployment's lifetime.
     pub(crate) serving: Arc<ServingTier>,
     /// Round-robin cursor for spreading requests over replicas.
     replica_rr: std::sync::atomic::AtomicU64,
@@ -48,15 +47,7 @@ pub struct HeliosDeployment {
     route_latency: Arc<Histogram>,
     /// End-to-end freshness SLO fed by the prober (empty when probing is
     /// disabled; burn rates read 0 with no samples).
-    pub(crate) slo: Arc<SloTracker>,
-    /// Serializes rescales: one `scale_to` (manual, ops-triggered or
-    /// autoscaler-driven) at a time.
-    pub(crate) rescale_lock: parking_lot::Mutex<()>,
-    /// Lowest epoch the next rescale attempt may use; advanced past every
-    /// attempt (committed *or* abandoned), so a retry never reuses an
-    /// abandoned attempt's epoch and its watermarks can only be satisfied
-    /// by the retry's own scans. Only touched under `rescale_lock`.
-    pub(crate) next_rescale_epoch: std::sync::atomic::AtomicU64,
+    slo: Arc<SloTracker>,
     /// Marker-injection thread; `None` when freshness probing is off.
     prober: Option<StatsReporter>,
 }
@@ -121,7 +112,6 @@ impl HeliosDeployment {
             .clone()
             .map(|fc| Self::start_prober(fc, &query, &tier, &serving, &plane, &slo));
 
-        Self::register_membership_route(plane.routes(), tier.router(), &serving);
         let mut probes: Vec<HealthProbe> = Vec::new();
         // `membership`: a registered worker that stopped heartbeating is
         // dead capacity — degrade `/healthz` so the operator (or an
@@ -157,8 +147,6 @@ impl HeliosDeployment {
             plane,
             route_latency,
             slo,
-            rescale_lock: parking_lot::Mutex::new(()),
-            next_rescale_epoch: std::sync::atomic::AtomicU64::new(1),
             prober,
         })
     }
@@ -193,31 +181,6 @@ impl HeliosDeployment {
         }
     }
 
-    /// `/membership` on the ops server: the live routing table (epoch,
-    /// worker count, slot assignment) plus the serving-set shape, as JSON.
-    fn register_membership_route(
-        routes: &Arc<DynRoutes>,
-        router: &Arc<Router>,
-        serving: &Arc<ServingTier>,
-    ) {
-        let router = Arc::clone(router);
-        let serving = Arc::clone(serving);
-        routes.register("/membership", move |_method, _query| {
-            let table = router.table();
-            let assignment: Vec<String> =
-                table.assignment().iter().map(|w| w.to_string()).collect();
-            let body = format!(
-                "{{\"epoch\":{},\"workers\":{},\"replicas\":{},\"slots\":{},\"assignment\":[{}]}}\n",
-                table.epoch(),
-                table.workers(),
-                serving.replicas(),
-                table.slots(),
-                assignment.join(",")
-            );
-            (200, "application/json".to_string(), body)
-        });
-    }
-
     /// Start the freshness prober: every `interval` it injects a marker
     /// vertex update at the front of the pipeline (a seed-typed vertex
     /// whose feature encodes the probe sequence number) and then polls
@@ -234,11 +197,9 @@ impl HeliosDeployment {
     ) -> StatsReporter {
         let seed_type = query.seed_type();
         let marker = VertexId(fc.marker_vertex);
-        // Markers route like any seed. Resolved per probe (not once at
-        // startup): a rescale can move the marker's slot, and the probe
-        // must follow it to the new owner or it would measure a drained
-        // cache forever.
-        let serving = Arc::clone(serving);
+        // Markers route like any seed.
+        let owner = tier.route_table().owner_of(marker).0 as usize;
+        let owner = Arc::clone(&serving.workers()[owner * serving.replicas()]);
         let tier = Arc::clone(tier);
         let telemetry = plane.registry();
         let freshness = telemetry.histogram("e2e.freshness", &[]);
@@ -273,14 +234,9 @@ impl HeliosDeployment {
             let deadline = injected + fc.probe_timeout;
             let mut visible = false;
             while Instant::now() < deadline {
-                // Re-resolve the owner every poll: a mid-probe rescale
-                // commit repoints the marker and the new owner's cache is
-                // where visibility shows up.
-                let sew = tier.router().owner_of(marker).0 as usize;
-                let seen = serving
-                    .workers()
-                    .get(sew * serving.replicas())
-                    .and_then(|t| t.serve(marker, TraceCtx::NONE).ok())
+                let seen = owner
+                    .serve(marker, TraceCtx::NONE)
+                    .ok()
                     .and_then(|g| g.features.get(&marker).and_then(|f| f.first().copied()));
                 if seen == Some(expect) {
                     visible = true;
@@ -366,34 +322,20 @@ impl HeliosDeployment {
         self.plane.ops_addr()
     }
 
-    /// Handles to the current serving fleet (a snapshot: a concurrent
-    /// rescale does not invalidate the returned vector, but it may no
-    /// longer reflect the live set).
-    pub fn serving_workers(&self) -> Vec<Arc<ServingWorker>> {
-        self.serving.workers().to_vec()
+    /// Every serving replica, flat: `[sew0-r0, sew0-r1, …, sew1-r0, …]`.
+    pub fn serving_workers(&self) -> &[Arc<ServingWorker>] {
+        self.serving.workers()
     }
 
-    /// The sampling workers (M is fixed for the deployment's lifetime;
-    /// only the serving fleet rescales).
+    /// The sampling workers.
     pub fn sampling_workers(&self) -> &[SamplingWorker] {
         self.tier.workers()
     }
 
-    /// The shared seed→worker router (epoch-versioned; rescales bump it).
-    pub fn router(&self) -> &Arc<Router> {
-        self.tier.router()
-    }
-
-    /// Current routing-table epoch.
-    pub fn route_epoch(&self) -> u64 {
-        self.router().epoch()
-    }
-
-    /// Dynamic ops-server routes (`/membership` is pre-registered;
-    /// [`crate::rescale`] adds `/scale`). Live even when the ops server is
-    /// disabled, so registration is always safe.
-    pub fn dyn_routes(&self) -> &Arc<DynRoutes> {
-        self.plane.routes()
+    /// The seed→serving-worker route table the front-end and every
+    /// sampling worker share.
+    pub fn route_table(&self) -> &RouteTable {
+        self.tier.route_table()
     }
 
     /// Metrics of each sampling worker.
@@ -415,37 +357,26 @@ impl HeliosDeployment {
     }
 
     /// A serving worker responsible for `seed`: the owning logical worker
-    /// comes from the epoch-versioned routing table; among its replicas,
-    /// requests are spread round-robin.
-    pub fn serving_worker_for(&self, seed: VertexId) -> Arc<ServingWorker> {
-        loop {
-            let set = self.serving.workers();
-            let replicas = self.serving.replicas();
-            let sew = self.router().owner_of(seed).0 as usize;
-            // Rescale ordering keeps `table.workers() <= set.logical()`
-            // (scale-out extends the set before the commit installs; a
-            // scale-in installs before it truncates), but the two reads
-            // here are not atomic — on the rare raced snapshot, re-read.
-            if sew < set.len() / replicas {
-                let r = if replicas == 1 {
-                    0
-                } else {
-                    (self
-                        .replica_rr
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                        % replicas as u64) as usize
-                };
-                return Arc::clone(&set[sew * replicas + r]);
-            }
-            std::thread::yield_now();
-        }
+    /// comes from the route table; among its replicas, requests are
+    /// spread round-robin.
+    pub fn serving_worker_for(&self, seed: VertexId) -> &Arc<ServingWorker> {
+        let replicas = self.serving.replicas();
+        let sew = self.route_table().owner_of(seed).0 as usize;
+        let r = if replicas == 1 {
+            0
+        } else {
+            (self
+                .replica_rr
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                % replicas as u64) as usize
+        };
+        &self.serving.workers()[sew * replicas + r]
     }
 
-    /// All replicas of logical serving worker `sew` (snapshot semantics,
-    /// like [`HeliosDeployment::serving_workers`]).
-    pub fn serving_replicas_of(&self, sew: u32) -> Vec<Arc<ServingWorker>> {
+    /// All replicas of logical serving worker `sew`.
+    pub fn serving_replicas_of(&self, sew: u32) -> &[Arc<ServingWorker>] {
         let replicas = self.serving.replicas();
-        self.serving.workers()[sew as usize * replicas..][..replicas].to_vec()
+        &self.serving.workers()[sew as usize * replicas..][..replicas]
     }
 
     /// Serve a sampling query: route to the owning serving worker and
@@ -479,7 +410,7 @@ impl HeliosDeployment {
     /// its own histogram (not a `serving.stage_latency` label) so the
     /// per-stage sum identity against `serving.latency` stays exact —
     /// routing happens before the worker's end-to-end clock starts.
-    fn route_timed(&self, seed: VertexId, ctx: TraceCtx) -> Arc<ServingWorker> {
+    fn route_timed(&self, seed: VertexId, ctx: TraceCtx) -> &Arc<ServingWorker> {
         let route_start = Instant::now();
         let worker = {
             let _route_span = span("router.route", ctx);
@@ -501,7 +432,7 @@ impl HeliosDeployment {
         for w in self.sampling_workers() {
             w.expire_before(horizon);
         }
-        for s in self.serving.workers().iter() {
+        for s in self.serving.workers() {
             s.expire_before(horizon)?;
         }
         Ok(())
@@ -512,7 +443,7 @@ impl HeliosDeployment {
     /// table the snapshot was taken under. Quiesce first for a clean
     /// snapshot.
     pub fn checkpoint(&self, dir: &Path) -> Result<()> {
-        self.tier.checkpoint(dir, self.serving.logical() as u32)
+        self.tier.checkpoint(dir)
     }
 
     /// Spawn the coordinator's periodic checkpoint trigger (§4.1): every
@@ -533,8 +464,10 @@ impl HeliosDeployment {
     }
 
     /// Block until the pipeline drains: all produced updates dispatched
-    /// and processed, control traffic settled, and serving caches caught
-    /// up with their sample queues. Returns `false` on timeout.
+    /// and processed, control traffic settled, serving caches caught up
+    /// with their sample queues, and no hybrid cache holding a rotated
+    /// memtable its flusher has not yet written to an SST. Returns
+    /// `false` on timeout.
     ///
     /// Only meaningful while no new updates are being ingested (tests and
     /// paired experiment phases); live deployments never quiesce — they
@@ -545,7 +478,7 @@ impl HeliosDeployment {
         let mut last: Option<Watermarks> = None;
         while Instant::now() < deadline {
             let marks = self.watermarks();
-            if marks.drained() && last.as_ref() == Some(&marks) {
+            if marks.drained() && self.caches_flushed() && last.as_ref() == Some(&marks) {
                 stable_rounds += 1;
                 // Two consecutive stable observations: no in-flight message
                 // can still generate work.
@@ -567,10 +500,19 @@ impl HeliosDeployment {
         false
     }
 
-    /// The pipeline's drain numbers right now. Re-snapshots the serving
-    /// set, so it is safe to call concurrently with a rescale.
+    /// The pipeline's drain numbers right now.
     fn watermarks(&self) -> Watermarks {
         self.serving.watermarks(&self.tier)
+    }
+
+    /// No serving cache holds an immutable memtable. Memory-mode caches
+    /// never rotate one, so only hybrid caches are read.
+    fn caches_flushed(&self) -> bool {
+        self.config.cache_dir.is_none()
+            || self.serving.workers().iter().all(|w| {
+                let (s, f) = w.cache_stats();
+                s.immutable_memtables == 0 && f.immutable_memtables == 0
+            })
     }
 
     /// Total bytes held by all serving caches (Fig. 16 numerator).

@@ -52,7 +52,6 @@ pub mod deployment;
 pub mod messages;
 pub mod plane;
 pub mod report;
-pub mod rescale;
 pub mod sampler;
 pub mod serving;
 pub mod tier;
@@ -62,19 +61,13 @@ pub use config::{
 };
 pub use coordinator::Coordinator;
 pub use deployment::HeliosDeployment;
+pub use helios_membership::RouteTable;
 pub use messages::{ControlMsg, SampleEntryLite, SampleMsg, UpdateEnvelope};
 pub use plane::OpsPlane;
 pub use report::{DeploymentReport, SamplingReport, ServingReport};
-pub use rescale::AutoscalerGuard;
 pub use sampler::SamplingWorker;
 pub use serving::{ServingMemGauges, ServingWorker};
 pub use tier::{QueueMark, SamplingTier, ServingTier, Watermarks};
-
-// Membership/rescale vocabulary, re-exported so deployments can configure
-// the autoscaler without depending on helios-membership directly.
-pub use helios_membership::{
-    RouteTable, Router, ScaleController, ScaleDecision, ScalePolicy, ScaleSignals,
-};
 
 use helios_query::SamplingStrategy as QueryStrategy;
 use helios_sampling::SamplingStrategy as ReservoirStrategy;

@@ -11,8 +11,8 @@ use crate::config::{HeliosConfig, FLIGHT_RECORDER_CAPACITY};
 use helios_mq::Broker;
 use helios_telemetry::ops::HealthProbe;
 use helios_telemetry::{
-    DynRoutes, EventKind, FlightRecorder, HealthReport, MemAccountant, OpsServer, OpsState,
-    Profiler, Registry, RetainedTraces, StatsReporter,
+    EventKind, FlightRecorder, HealthReport, MemAccountant, OpsServer, OpsState, Profiler,
+    Registry, RetainedTraces, StatsReporter,
 };
 use helios_types::{HeliosError, Result};
 use std::net::SocketAddr;
@@ -26,9 +26,6 @@ pub struct OpsPlane {
     accountant: Arc<MemAccountant>,
     retained: Arc<RetainedTraces>,
     profiler: Arc<Profiler>,
-    /// Paths registered after the ops server started (`/membership`,
-    /// `/scale`); live even without a server, so registering is safe.
-    routes: Arc<DynRoutes>,
     /// `HeliosConfig::ops_addr`: where [`OpsPlane::start_ops_server`]
     /// binds, if anywhere.
     ops_bind: Option<String>,
@@ -71,7 +68,6 @@ impl OpsPlane {
             recorder,
             accountant,
             retained,
-            routes: DynRoutes::new(),
             ops_bind: config.ops_addr.clone(),
             stats_interval: config.stats_interval,
             ops: None,
@@ -99,14 +95,9 @@ impl OpsPlane {
         &self.retained
     }
 
-    /// Dynamic ops routes, served once the ops server runs.
-    pub(crate) fn routes(&self) -> &Arc<DynRoutes> {
-        &self.routes
-    }
-
     /// Bind the ops server at `config.ops_addr` (no-op when unset). It
     /// serves `/metrics`, `/vars`, `/recorder`, `/traces`, `/profile`,
-    /// `/trace/*` and the dynamic routes; `/healthz` runs the memory
+    /// and `/trace/*`; `/healthz` runs the memory
     /// probe, then `probes` in order.
     pub fn start_ops_server(&mut self, probes: Vec<HealthProbe>) -> Result<()> {
         let Some(addr) = &self.ops_bind else {
@@ -116,7 +107,6 @@ impl OpsPlane {
         let mut state = OpsState::new(move || registry.snapshot())
             .recorder(Arc::clone(&self.recorder))
             .retained_traces(Arc::clone(&self.retained))
-            .routes(Arc::clone(&self.routes))
             .profiler(Arc::clone(&self.profiler))
             .probe(memory_probe(Arc::clone(&self.accountant)));
         for probe in probes {

@@ -20,7 +20,7 @@
 //!   thousand edges in one drain is sent once.
 //!
 //! Every sampling worker of a deployment runs in one process, so control
-//! messages and rescale scans need no log: a shard mailbox is already
+//! messages and resubscribe scans need no log: a shard mailbox is already
 //! the per-sender FIFO channel they need.
 //!
 //! Subscription propagation implements §5.3 / Fig. 7 with refcounts: a
@@ -32,8 +32,8 @@ use crate::config::{HeliosConfig, POLL_BATCH, POLL_TIMEOUT};
 use crate::coordinator::Coordinator;
 use crate::messages::{now_nanos, ControlMsg, SampleEntryLite, SampleMsg, UpdateEnvelope};
 use crate::to_reservoir_strategy;
-use helios_membership::{RouteTable, Router};
-use helios_mq::{Broker, Consumer};
+use helios_membership::RouteTable;
+use helios_mq::{Broker, Consumer, Topic};
 use helios_query::{KHopQuery, QueryDag};
 use helios_sampling::{ReservoirOutcome, ReservoirTable, SampleEntry};
 use helios_telemetry::{span, Counter, EventKind, FlightRecorder, Histogram, Registry, TraceCtx};
@@ -42,7 +42,7 @@ use helios_types::{
     QueryHopId, Result, SamplingWorkerId, ServingWorkerId, Timestamp, VertexId, VertexType,
     VertexUpdate,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -162,79 +162,56 @@ type Mailboxes = Arc<OnceLock<Vec<Arc<ShardedPool<ShardMsg>>>>>;
 /// Context shared by all shards of one sampling worker.
 struct Ctx {
     worker: SamplingWorkerId,
-    /// Epoch-versioned seed→serving-worker routing, shared with the
-    /// deployment front-end. Installed tables change where *new* implicit
-    /// seed subscriptions go; existing subscriptions move via the
-    /// Prepare/Commit handoff scans.
-    router: Arc<Router>,
+    /// Seed→serving-worker routing, the same table the deployment
+    /// front-end and the gateway build.
+    routes: Arc<RouteTable>,
     dag: QueryDag,
     seed_type: VertexType,
-    broker: Arc<Broker>,
-    /// Lazily resolved sample-queue handles, keyed by logical serving
-    /// worker. Invalidated when a commit shrinks or re-creates topics so
-    /// a stale `Arc<Topic>` can never shadow a re-created queue.
-    sample_topics: RwLock<FxHashMap<u32, Arc<helios_mq::Topic>>>,
+    /// Sample queue of each serving worker, indexed by its id.
+    sample_topics: Vec<Arc<Topic>>,
     mailboxes: Mailboxes,
     metrics: Arc<SamplerMetrics>,
     recorder: Arc<FlightRecorder>,
 }
 
 impl Ctx {
+    /// Context of worker `worker`, resolving one `samples-<s>` queue on
+    /// `broker` per serving worker `routes` routes to.
     fn new(
         worker: SamplingWorkerId,
         query: &KHopQuery,
-        broker: &Arc<Broker>,
-        router: Arc<Router>,
+        broker: &Broker,
+        routes: Arc<RouteTable>,
         mailboxes: Mailboxes,
         metrics: Arc<SamplerMetrics>,
         recorder: Arc<FlightRecorder>,
-    ) -> Ctx {
-        Ctx {
+    ) -> Result<Ctx> {
+        let sample_topics = (0..routes.workers() as u32)
+            .map(|s| broker.topic(&topics::samples(s)))
+            .collect::<Result<_>>()?;
+        Ok(Ctx {
             worker,
-            router,
+            routes,
             dag: query.dag(),
             seed_type: query.seed_type(),
-            broker: Arc::clone(broker),
-            sample_topics: RwLock::new(FxHashMap::default()),
+            sample_topics,
             mailboxes,
             metrics,
             recorder,
-        }
+        })
     }
 
     #[inline]
     fn sew_of(&self, v: VertexId) -> ServingWorkerId {
-        self.router.owner_of(v)
-    }
-
-    /// Resolve the sample topic of `sew`. Only workers inside the
-    /// currently *committed* table are cached: during a scale-out's
-    /// prepare window (and a scale-in's drain window) the joining or
-    /// departing worker's topic is looked up per flush, so deleting and
-    /// re-creating `samples-<sew>` across rescale cycles is always seen.
-    fn sample_topic(&self, sew: u32) -> Option<Arc<helios_mq::Topic>> {
-        if let Some(t) = self.sample_topics.read().get(&sew) {
-            return Some(Arc::clone(t));
-        }
-        let t = self.broker.topic(&topics::samples(sew)).ok()?;
-        if (sew as usize) < self.router.table().workers() {
-            self.sample_topics.write().insert(sew, Arc::clone(&t));
-        }
-        Some(t)
-    }
-
-    /// Drop cached topic handles outside the committed worker set.
-    fn invalidate_sample_topics(&self, live_workers: u32) {
-        self.sample_topics
-            .write()
-            .retain(|sew, _| *sew < live_workers);
+        self.routes.owner_of(v)
     }
 
     /// Append a drain's records for `sew` with one produce, waking its
-    /// consumers once. Records for a departed worker (topic deleted) are
-    /// dropped silently: its cache is gone.
+    /// consumers once. Records for a worker outside the table are
+    /// dropped: only subscriptions restored from a checkpoint that lost
+    /// its manifest can name one.
     fn publish_samples(&self, sew: u32, records: Vec<(u64, bytes::Bytes)>) {
-        if let Some(topic) = self.sample_topic(sew) {
+        if let Some(topic) = self.sample_topics.get(sew as usize) {
             let landed = topic.produce_many(records).unwrap_or(0);
             self.metrics.published.add(landed as u64);
         }
@@ -320,24 +297,14 @@ impl Owed {
     }
 }
 
-/// Which rescale scan a shard should run (see `handle_rescale`).
+/// One step of re-deriving every subscription after a checkpoint is
+/// restored into a different topology (see `handle_resubscribe`).
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum RescalePhase {
-    /// Charge the pending table's new owners of moved seeds; routing and
-    /// the `seeds` map stay on the committed table.
-    Prepare,
-    /// Move moved seeds fully: charge new owner (a no-op after Prepare),
-    /// repoint `seeds`, discharge the old owner.
-    Commit,
-    /// Undo an abandoned Prepare: discharge the pending table's new
-    /// owners of would-move seeds (a no-op for anything already
-    /// committed), so a timed-out handoff leaks no subscriptions.
-    Abort,
-    /// Drop every subscription; `seeds` keeps its keys for `Rebuild`
-    /// (checkpoint restored into a different topology).
+enum Resubscribe {
+    /// Drop every subscription; `seeds` keeps its keys for `Rebuild`.
     Clear,
     /// Re-derive the seeds' subscriptions from `seeds` and reservoir
-    /// contents under the current table. Sent only once every shard has
+    /// contents under the routing table. Sent only once every shard has
     /// run `Clear`, so no shard clears a charge another shard's `Rebuild`
     /// already sent it.
     Rebuild,
@@ -353,12 +320,8 @@ enum ShardMsg {
     Checkpoint(PathBuf, crossbeam::channel::Sender<Result<()>>),
     /// Load shard state from `dir` (if a file exists) and ack.
     Restore(PathBuf, crossbeam::channel::Sender<Result<()>>),
-    /// Run one rescale scan against `table` and ack.
-    Rescale {
-        table: Arc<RouteTable>,
-        phase: RescalePhase,
-        ack: crossbeam::channel::Sender<()>,
-    },
+    /// Run one resubscribe step and ack.
+    Resubscribe(Resubscribe, crossbeam::channel::Sender<()>),
     /// Deep-copy the shard's state for tests/diagnostics and ack.
     Inspect(crossbeam::channel::Sender<ShardSnapshot>),
 }
@@ -367,7 +330,7 @@ type SubTable = FxHashMap<VertexId, FxHashMap<u32, u32>>;
 
 /// A deep copy of one sampling shard's state, taken through the shard's
 /// own mailbox (so it is a consistent point-in-time view). Used by the
-/// subscription-churn tests and rescale diagnostics.
+/// subscription-churn tests.
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
     /// Per hop: reservoir key → current sampled neighbors.
@@ -400,10 +363,8 @@ struct SamplerShard {
     /// Feature subscription refcounts.
     feat_subs: SubTable,
     /// Seed → serving worker holding its *implicit* subscriptions (the
-    /// hop-0 sample sub and one feature-sub refcount). The routing table
-    /// says where a seed *should* live; this map says who is *currently*
-    /// charged, which is what lets rescale scans find and move exactly
-    /// the seeds whose owner changed.
+    /// hop-0 sample sub and one feature-sub refcount). A restore into a
+    /// different topology re-derives them from these keys.
     seeds: FxHashMap<VertexId, u32>,
     rng: StdRng,
     /// Sample cells the current drain changed for some serving worker.
@@ -568,55 +529,19 @@ impl SamplerShard {
 
     // ---- subscription handling (§5.3) ----
 
-    /// Make sure `seed`'s implicit subscriptions are charged to its
-    /// *current* owner per the routing table. Called on every hop-0 edge
-    /// and seed-typed vertex update; after a rescale commit this is also
-    /// what moves a seed the commit scan has not reached yet (new traffic
-    /// must never resurrect a discharged owner).
+    /// Charge `seed`'s owner with its implicit subscriptions the first
+    /// time the seed shows up: the hop-0 sample sub plus one feature-sub
+    /// refcount. Called on every hop-0 edge and seed-typed vertex update.
+    /// The subscribe path owes the owner the reservoir and feature
+    /// snapshots (§5.3, idempotent).
     fn ensure_seed_sub(&mut self, seed: VertexId) {
+        if self.seeds.contains_key(&seed) {
+            return;
+        }
         let owner = self.ctx.sew_of(seed);
-        match self.seeds.get(&seed).copied() {
-            None => {
-                self.seeds.insert(seed, owner.0);
-                self.charge_seed(seed, owner);
-            }
-            Some(old) if old != owner.0 => {
-                self.charge_seed(seed, owner);
-                self.seeds.insert(seed, owner.0);
-                self.discharge_seed(seed, ServingWorkerId(old));
-            }
-            Some(_) => {}
-        }
-    }
-
-    /// Charge `sew` with `seed`'s implicit subscriptions: the hop-0
-    /// sample sub plus one feature-sub refcount. Guarded by the hop-0
-    /// sub's presence — only charges ever create hop-0 subs (there is no
-    /// transitive `SubscribeSamples{hop: 0}`), so presence means "already
-    /// charged" and a Prepare-then-Commit double charge is a no-op. The
-    /// subscribe path owes `sew` the reservoir/feature snapshots (§5.3,
-    /// idempotent), which is exactly the bootstrap a joining worker needs.
-    fn charge_seed(&mut self, seed: VertexId, sew: ServingWorkerId) {
-        let charged = self.sample_subs[0]
-            .get(&seed)
-            .is_some_and(|m| m.contains_key(&sew.0));
-        if !charged {
-            self.sub_samples(QueryHopId(0), seed, sew);
-            self.sub_feature(seed, sew);
-        }
-    }
-
-    /// Mirror of `charge_seed`: drop the implicit subscriptions held by
-    /// `sew`. The transitive unsubscribe cascade discharges everything
-    /// the seed's subscription tree pinned on other workers.
-    fn discharge_seed(&mut self, seed: VertexId, sew: ServingWorkerId) {
-        let charged = self.sample_subs[0]
-            .get(&seed)
-            .is_some_and(|m| m.contains_key(&sew.0));
-        if charged {
-            self.unsub_samples(QueryHopId(0), seed, sew);
-            self.unsub_feature(seed, sew);
-        }
+        self.seeds.insert(seed, owner.0);
+        self.sub_samples(QueryHopId(0), seed, owner);
+        self.sub_feature(seed, owner);
     }
 
     fn sub_samples(&mut self, hop: QueryHopId, vertex: VertexId, sew: ServingWorkerId) {
@@ -714,69 +639,19 @@ impl SamplerShard {
         }
     }
 
-    // ---- rescale (membership handoff scans) ----
+    // ---- resubscribe (topology-mismatched restore) ----
 
-    /// Run one rescale scan. `Prepare` charges the pending table's new
-    /// owner of every seed whose owner changes (warming its cache through
-    /// the idempotent snapshot path) without touching routing state, so
-    /// live traffic keeps flowing to the old owners. `Commit` makes the
-    /// move authoritative: charge (no-op when prepared), repoint `seeds`,
-    /// discharge the old owner — the refcounted unsubscribe cascade then
-    /// strips everything only the old owner pinned. `Abort` undoes an
-    /// abandoned `Prepare` by discharging the pending owners it charged.
     /// `Clear` then `Rebuild` re-derive the whole subscription tree from
-    /// reservoir contents under the current table (topology-mismatched
-    /// restore).
-    fn handle_rescale(&mut self, table: &RouteTable, phase: RescalePhase) {
-        match phase {
-            RescalePhase::Prepare => {
-                let moved: Vec<VertexId> = self
-                    .seeds
-                    .iter()
-                    .filter(|(v, &old)| table.owner_of(**v).0 != old)
-                    .map(|(v, _)| *v)
-                    .collect();
-                for v in moved {
-                    self.charge_seed(v, table.owner_of(v));
-                }
-            }
-            RescalePhase::Commit => {
-                let moved: Vec<(VertexId, u32)> = self
-                    .seeds
-                    .iter()
-                    .filter(|(v, &old)| table.owner_of(**v).0 != old)
-                    .map(|(v, &old)| (*v, old))
-                    .collect();
-                for (v, old) in moved {
-                    let new = table.owner_of(v);
-                    self.charge_seed(v, new);
-                    self.seeds.insert(v, new.0);
-                    self.discharge_seed(v, ServingWorkerId(old));
-                }
-            }
-            RescalePhase::Abort => {
-                // Exact mirror of Prepare: every seed the abandoned table
-                // would have moved had its pending owner charged; drop
-                // that charge. Seeds it never moved — or that a Commit of
-                // this very table already repointed — fail the filter (or
-                // the discharge guard) and are untouched.
-                let moved: Vec<VertexId> = self
-                    .seeds
-                    .iter()
-                    .filter(|(v, &cur)| table.owner_of(**v).0 != cur)
-                    .map(|(v, _)| *v)
-                    .collect();
-                for v in moved {
-                    self.discharge_seed(v, table.owner_of(v));
-                }
-            }
-            RescalePhase::Clear => {
+    /// reservoir contents under the routing table.
+    fn handle_resubscribe(&mut self, step: Resubscribe) {
+        match step {
+            Resubscribe::Clear => {
                 for t in &mut self.sample_subs {
                     t.clear();
                 }
                 self.feat_subs.clear();
             }
-            RescalePhase::Rebuild => {
+            Resubscribe::Rebuild => {
                 let mut seeds: Vec<VertexId> =
                     std::mem::take(&mut self.seeds).into_keys().collect();
                 seeds.extend(self.reservoirs[0].iter().map(|(k, _)| k));
@@ -976,8 +851,8 @@ impl Actor for SamplerShard {
             ShardMsg::Restore(dir, ack) => {
                 let _ = ack.send(self.between_flushes(|s| s.handle_restore(&dir)));
             }
-            ShardMsg::Rescale { table, phase, ack } => {
-                self.between_flushes(|s| s.handle_rescale(&table, phase));
+            ShardMsg::Resubscribe(step, ack) => {
+                self.between_flushes(|s| s.handle_resubscribe(step));
                 let _ = ack.send(());
             }
             ShardMsg::Inspect(ack) => {
@@ -1091,53 +966,20 @@ impl Actor for SamplerShard {
 /// A running sampling worker: one polling thread + sampling shard pool.
 pub struct SamplingWorker {
     id: SamplingWorkerId,
-    ctx: Arc<Ctx>,
     shards: Arc<ShardedPool<ShardMsg>>,
     metrics: Arc<SamplerMetrics>,
     stop: Arc<AtomicBool>,
     poller: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// The acks owed by the shards one [`each_shard`] message went to.
-pub(crate) struct Acks<R> {
-    rx: crossbeam::channel::Receiver<R>,
-    owed: usize,
-}
-
-impl<R> Acks<R> {
-    /// Wait for every shard's ack. With a `deadline`, the deadline comes
-    /// first: once it has passed this fails, even if every ack is in.
-    pub(crate) fn wait(self, deadline: Option<Instant>, what: &str) -> Result<Vec<R>> {
-        use crossbeam::channel::RecvTimeoutError;
-        let mut acks = Vec::with_capacity(self.owed);
-        while acks.len() < self.owed {
-            let ack = match deadline {
-                Some(d) => self.rx.recv_deadline(d),
-                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            match ack {
-                Ok(ack) => acks.push(ack),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(HeliosError::Disconnected(format!("{what} ack")));
-                }
-            }
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(HeliosError::Timeout(format!(
-                "{what} not acked by every shard before the deadline"
-            )));
-        }
-        Ok(acks)
-    }
-}
-
-/// Send `msg(ack)` to every shard of `workers`; each shard answers on
-/// `ack` once it has handled it (between two flushes).
+/// Send `msg(ack)` to every shard of `workers` and wait until each has
+/// answered on `ack`, which it does once it has handled the message
+/// (between two flushes). `what` names the message in the error.
 fn each_shard<R>(
     workers: &[SamplingWorker],
+    what: &str,
     msg: impl Fn(crossbeam::channel::Sender<R>) -> ShardMsg,
-) -> Acks<R> {
+) -> Result<Vec<R>> {
     let owed = workers.iter().map(|w| w.shards.shards()).sum();
     let (tx, rx) = crossbeam::channel::bounded(owed);
     for w in workers {
@@ -1145,12 +987,17 @@ fn each_shard<R>(
             w.shards.send_to(i, msg(tx.clone()));
         }
     }
-    Acks { rx, owed }
+    (0..owed)
+        .map(|_| {
+            rx.recv()
+                .map_err(|_| HeliosError::Disconnected(format!("{what} ack")))
+        })
+        .collect()
 }
 
 impl SamplingWorker {
     /// Start sampling workers `0..M`, routing seeds to serving workers
-    /// through `router`, each with a `saw<id>` heartbeat on
+    /// through `routes`, each with a `saw<id>` heartbeat on
     /// `coordinator`. Counters register as `sampler.*{worker=<id>}` in
     /// `registry`. Every worker's shard mailboxes exist before any
     /// updates poller starts, so a flush can always reach the owner of a
@@ -1159,7 +1006,7 @@ impl SamplingWorker {
         config: &HeliosConfig,
         query: &KHopQuery,
         broker: &Arc<Broker>,
-        router: &Arc<Router>,
+        routes: &Arc<RouteTable>,
         coordinator: &Coordinator,
         registry: &Registry,
         recorder: &Arc<FlightRecorder>,
@@ -1180,20 +1027,18 @@ impl SamplingWorker {
                     id,
                     query,
                     broker,
-                    Arc::clone(router),
+                    Arc::clone(routes),
                     Arc::clone(&mailboxes),
                     Arc::clone(&metrics),
                     Arc::clone(recorder),
-                ));
-                let pool_ctx = Arc::clone(&ctx);
+                )?);
                 let shards = Arc::new(ShardedPool::new(
                     &format!("saw{w}-sampler"),
                     config.sampling_threads,
-                    move |i| SamplerShard::new(Arc::clone(&pool_ctx), i),
+                    move |i| SamplerShard::new(Arc::clone(&ctx), i),
                 ));
                 let worker = SamplingWorker {
                     id,
-                    ctx,
                     shards,
                     metrics,
                     stop: Arc::new(AtomicBool::new(false)),
@@ -1242,10 +1087,9 @@ impl SamplingWorker {
 
     /// Checkpoint all shard state into `dir`; blocks until done.
     pub fn checkpoint(&self, dir: &std::path::Path) -> Result<()> {
-        each_shard(std::slice::from_ref(self), |ack| {
+        each_shard(std::slice::from_ref(self), "checkpoint", |ack| {
             ShardMsg::Checkpoint(dir.to_path_buf(), ack)
-        })
-        .wait(None, "checkpoint")?
+        })?
         .into_iter()
         .collect()
     }
@@ -1253,10 +1097,9 @@ impl SamplingWorker {
     /// Restore shard state from `dir`; blocks until done. Call before any
     /// updates are ingested.
     pub fn restore(&self, dir: &std::path::Path) -> Result<()> {
-        each_shard(std::slice::from_ref(self), |ack| {
+        each_shard(std::slice::from_ref(self), "restore", |ack| {
             ShardMsg::Restore(dir.to_path_buf(), ack)
-        })
-        .wait(None, "restore")?
+        })?
         .into_iter()
         .collect()
     }
@@ -1264,45 +1107,22 @@ impl SamplingWorker {
     /// Deep-copy every shard's sampling state (consistent per shard, not
     /// across shards — quiesce first for a global view).
     pub fn inspect(&self) -> Result<Vec<ShardSnapshot>> {
-        each_shard(std::slice::from_ref(self), ShardMsg::Inspect).wait(None, "inspect")
+        each_shard(std::slice::from_ref(self), "inspect", ShardMsg::Inspect)
     }
 
     /// Drop all subscriptions of `workers` and re-derive them from
-    /// reservoir contents under `table`; blocks until every shard is
-    /// done. Every shard clears before any shard re-derives, because a
-    /// shard's re-derive sends charges to other workers' shards. Used
-    /// after restoring a checkpoint into a different worker topology,
-    /// before any traffic flows.
-    pub(crate) fn rebuild_subscriptions(
-        workers: &[SamplingWorker],
-        table: &Arc<RouteTable>,
-    ) -> Result<()> {
-        Self::rescale(workers, table, RescalePhase::Clear).wait(None, "clear")?;
-        Self::rescale(workers, table, RescalePhase::Rebuild)
-            .wait(None, "rebuild")
-            .map(drop)
-    }
-
-    /// Send one rescale scan against `table` to every shard of `workers`.
-    /// A shard's mailbox is FIFO, so scans run in the order they are
-    /// sent, after whatever the shard was sent before them.
-    pub(crate) fn rescale(
-        workers: &[SamplingWorker],
-        table: &Arc<RouteTable>,
-        phase: RescalePhase,
-    ) -> Acks<()> {
-        each_shard(workers, |ack| ShardMsg::Rescale {
-            table: Arc::clone(table),
-            phase,
-            ack,
-        })
-    }
-
-    /// Drop cached sample-topic handles outside the live worker set
-    /// (called by the deployment after deleting a departed worker's
-    /// topic, so a later re-creation is never shadowed by a stale handle).
-    pub fn invalidate_sample_topics(&self, live_workers: u32) {
-        self.ctx.invalidate_sample_topics(live_workers);
+    /// reservoir contents under the routing table; blocks until every
+    /// shard is done. Every shard clears before any shard re-derives,
+    /// because a shard's re-derive sends charges to other workers'
+    /// shards. Used after restoring a checkpoint into a different worker
+    /// topology, before any traffic flows.
+    pub(crate) fn rebuild_subscriptions(workers: &[SamplingWorker]) -> Result<()> {
+        for step in [Resubscribe::Clear, Resubscribe::Rebuild] {
+            each_shard(workers, "resubscribe", |ack| {
+                ShardMsg::Resubscribe(step, ack)
+            })?;
+        }
+        Ok(())
     }
 
     /// Stop the polling and sampling threads (drains shard mailboxes
@@ -1419,11 +1239,12 @@ mod tests {
             SamplingWorkerId(0),
             query,
             &broker,
-            Arc::new(Router::new(RouteTable::initial(serving, 16))),
+            Arc::new(RouteTable::initial(serving, 16)),
             mailboxes,
             Arc::new(SamplerMetrics::new(1)),
             FlightRecorder::new(16),
-        );
+        )
+        .unwrap();
         (SamplerShard::new(Arc::new(ctx), 0), broker, sink)
     }
 

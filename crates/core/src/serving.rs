@@ -102,10 +102,6 @@ pub struct ServingWorker {
     served: Arc<Counter>,
     applied: Arc<Counter>,
     decode_errors: Arc<Counter>,
-    /// `applied + decode_errors` when this worker started: a worker
-    /// re-created by a rescale inherits its predecessor's registry
-    /// counters, but not its queue.
-    consumed_before: u64,
     sample_hits: Arc<Counter>,
     sample_misses: Arc<Counter>,
     feature_hits: Arc<Counter>,
@@ -240,7 +236,6 @@ impl ServingWorker {
         let applied = registry.counter("serving.applied", labels);
         let decode_errors = registry.counter("serving.decode_errors", labels);
         let worker = Arc::new(ServingWorker {
-            consumed_before: applied.get() + decode_errors.get(),
             id,
             replica,
             query: query.clone(),
@@ -622,6 +617,9 @@ impl ServingWorker {
                 vertices.push(v);
             }
         }
+        // In id order, the order the arena keeps features in, so each
+        // gathered feature appends.
+        vertices.sort_unstable();
         keys8.clear();
         keys8.extend(vertices.iter().map(|&v| feature_key(v)));
         self.features.multi_get_into(keys8, values)?;
@@ -677,10 +675,10 @@ impl ServingWorker {
         self.decode_errors.get()
     }
 
-    /// Records this worker has taken off its sample queue since it
-    /// started, applied or rejected: its term of the drain equation.
+    /// Records this worker has taken off its sample queue, applied or
+    /// rejected: its term of the drain equation.
     pub fn consumed(&self) -> u64 {
-        self.applied() + self.decode_errors() - self.consumed_before
+        self.applied() + self.decode_errors()
     }
 
     /// Sample-table cache lookups: (hits, misses).

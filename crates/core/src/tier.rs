@@ -2,11 +2,15 @@
 //! assembly:
 //!
 //! - [`SamplingTier`]: the partitioned update stream, the M sampling
-//!   workers consuming it (control messages between them and rescale
-//!   scans go straight to their shard mailboxes), the shared seed→worker
-//!   router and one sample queue per serving worker.
+//!   workers consuming it (control messages between them go straight to
+//!   their shard mailboxes), the seed→worker route table and one sample
+//!   queue per serving worker.
 //! - [`ServingTier`]: serving workers (and their replicas), each applying
 //!   its sample queue to a query-aware cache that serving threads read.
+//!
+//! Both tiers keep their shape for their lifetime: the route table is
+//! `RouteTable::initial(N, route_slots)` in every process, and no worker
+//! joins or leaves a running tier.
 //!
 //! `HeliosDeployment` is a sampling tier plus a serving tier on the same
 //! broker; the launcher's `SamplingHost` is a sampling tier plus one TCP
@@ -19,7 +23,6 @@
 //! "pipeline" probe, both hosts' `StatsOk` replies and the multi-process
 //! drain loops all read it.
 
-use crate::actor::Liveness;
 use crate::config::{
     HeliosConfig, HEALTH_MAX_BACKLOG, HEALTH_WORKER_TIMEOUT, MAX_PENDING_UPDATES, POLL_BATCH,
     SAMPLE_QUEUE_PARTITIONS,
@@ -29,15 +32,14 @@ use crate::messages::UpdateEnvelope;
 use crate::plane::{mq_probe, OpsPlane};
 use crate::sampler::{topics, SamplingWorker};
 use crate::serving::ServingWorker;
-use helios_membership::{RouteTable, Router};
+use helios_membership::RouteTable;
 use helios_mq::{Broker, Topic, TopicConfig};
 use helios_query::KHopQuery;
 use helios_telemetry::ops::HealthProbe;
-use helios_telemetry::{EventKind, FlightRecorder, HealthReport, MemAccountant, Registry};
+use helios_telemetry::{EventKind, FlightRecorder, HealthReport, Registry};
 use helios_types::{
     hash::route, Decode, Encode, GraphUpdate, MemGauge, PartitionId, Result, ServingWorkerId,
 };
-use parking_lot::RwLock;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -77,21 +79,21 @@ impl Decode for CheckpointManifest {
     }
 }
 
-/// The sampling tier: topics on one broker, the epoch-0 router and the
-/// M sampling workers.
+/// The sampling tier: topics on one broker, the route table and the M
+/// sampling workers.
 pub struct SamplingTier {
     config: HeliosConfig,
     broker: Arc<Broker>,
-    router: Arc<Router>,
+    routes: Arc<RouteTable>,
     updates: Arc<Topic>,
-    /// Every topic's retained log bytes, rescale-created queues included.
+    /// Every topic's retained log bytes.
     mq_log: MemGauge,
     workers: Vec<SamplingWorker>,
 }
 
 impl SamplingTier {
     /// Create the `updates` topic (one partition per sampling worker),
-    /// one `samples-<s>` queue per serving worker and the epoch-0 router.
+    /// one `samples-<s>` queue per serving worker and the route table.
     /// No worker runs until [`SamplingTier::start_workers`], so an
     /// assembly can attach the sample queues' consumers first.
     pub fn create(config: &HeliosConfig) -> Result<SamplingTier> {
@@ -104,33 +106,31 @@ impl SamplingTier {
             ..Default::default()
         };
         let updates = broker.create_topic(topics::UPDATES, topic(m))?;
-        let tier = SamplingTier {
+        for s in 0..config.serving_workers as u32 {
+            broker.create_topic(&topics::samples(s), topic(SAMPLE_QUEUE_PARTITIONS))?;
+        }
+        Ok(SamplingTier {
             config: config.clone(),
             broker,
             // Deterministic, so every process and every sampling worker
             // agrees on it without a broadcast.
-            router: Arc::new(Router::new(RouteTable::initial(
+            routes: Arc::new(RouteTable::initial(
                 config.serving_workers,
                 config.route_slots as usize,
-            ))),
+            )),
             updates,
             mq_log,
             workers: Vec::new(),
-        };
-        for s in 0..config.serving_workers as u32 {
-            tier.create_sample_queue(s)?;
-        }
-        Ok(tier)
+        })
     }
 
     /// Start the M sampling workers, restoring each from `restore` when
     /// given, and charge every topic's log to `plane`'s `mq_log` ledger
     /// entry. A checkpoint taken under a different topology or routing
     /// table raises a `TopologyMismatch` flight event and every worker
-    /// re-derives its subscriptions under the epoch-0 table (no traffic
+    /// re-derives its subscriptions under this tier's table (no traffic
     /// has flowed yet). Comparing the table — not just worker counts —
-    /// catches a checkpoint taken after a rescale that happens to land on
-    /// this tier's logical worker count.
+    /// also catches a different `route_slots`.
     pub fn start_workers(
         &mut self,
         query: &KHopQuery,
@@ -144,7 +144,7 @@ impl SamplingTier {
             &self.config,
             query,
             &self.broker,
-            &self.router,
+            &self.routes,
             coordinator,
             plane.registry(),
             recorder,
@@ -161,7 +161,7 @@ impl SamplingTier {
             Err(e) => return Err(e.into()),
         };
         let manifest = CheckpointManifest::decode_from_slice(&raw)?;
-        let mismatch = manifest.table != *self.router.table()
+        let mismatch = manifest.table != *self.routes
             || manifest.sampling_workers as usize != self.config.sampling_workers
             || manifest.sampling_threads as usize != self.config.sampling_threads;
         if mismatch {
@@ -172,22 +172,8 @@ impl SamplingTier {
                 self.config.serving_workers as u64,
                 u64::from(manifest.sampling_workers),
             );
-            SamplingWorker::rebuild_subscriptions(&self.workers, &self.router.table())?;
+            SamplingWorker::rebuild_subscriptions(&self.workers)?;
         }
-        Ok(())
-    }
-
-    /// Create serving worker `s`'s sample queue, charged to the shared
-    /// `mq_log` gauge (startup and rescale scale-out).
-    pub(crate) fn create_sample_queue(&self, s: u32) -> Result<()> {
-        self.broker.create_topic(
-            &topics::samples(s),
-            TopicConfig {
-                partitions: SAMPLE_QUEUE_PARTITIONS,
-                mem: self.mq_log.clone(),
-                ..Default::default()
-            },
-        )?;
         Ok(())
     }
 
@@ -196,9 +182,9 @@ impl SamplingTier {
         &self.broker
     }
 
-    /// The epoch-versioned seed→worker router shared with every worker.
-    pub(crate) fn router(&self) -> &Arc<Router> {
-        &self.router
+    /// The seed→serving-worker route table every worker shares.
+    pub(crate) fn route_table(&self) -> &Arc<RouteTable> {
+        &self.routes
     }
 
     /// The sampling workers (M is fixed for the tier's lifetime).
@@ -303,10 +289,8 @@ impl SamplingTier {
 
     /// The tier's share of a stats tick: `mq.lag{group,topic}` (plus a
     /// lag sample in the flight ring), `actor.mailbox_depth{worker}`, and
-    /// the fleet's shape — routing epoch, routed serving workers and the
-    /// workers whose heartbeats on `coordinator` are older than
-    /// [`HEALTH_WORKER_TIMEOUT`] — so `/vars` answers "what shape is the
-    /// fleet in".
+    /// `membership.dead_workers`: the workers whose heartbeats on
+    /// `coordinator` are older than [`HEALTH_WORKER_TIMEOUT`].
     pub fn stats_tick(
         self: &Arc<Self>,
         plane: &OpsPlane,
@@ -331,13 +315,6 @@ impl SamplingTier {
                     .gauge("actor.mailbox_depth", &[("worker", &w.id().0.to_string())])
                     .set(w.backlog() as i64);
             }
-            let table = tier.router.table();
-            registry
-                .gauge("membership.epoch", &[])
-                .set(table.epoch() as i64);
-            registry
-                .gauge("membership.workers", &[])
-                .set(table.workers() as i64);
             registry
                 .gauge("membership.dead_workers", &[])
                 .set(liveness.dead_workers(HEALTH_WORKER_TIMEOUT).len() as i64);
@@ -386,8 +363,7 @@ impl SamplingTier {
 
     /// Checkpoint every worker's state into `dir` (§4.1), plus a manifest
     /// of the topology and routing table it was taken under.
-    /// `serving_workers` is the live logical serving-worker count.
-    pub(crate) fn checkpoint(&self, dir: &Path, serving_workers: u32) -> Result<()> {
+    pub(crate) fn checkpoint(&self, dir: &Path) -> Result<()> {
         for w in &self.workers {
             w.checkpoint(dir)?;
         }
@@ -395,8 +371,8 @@ impl SamplingTier {
         let manifest = CheckpointManifest {
             sampling_workers: self.config.sampling_workers as u32,
             sampling_threads: self.config.sampling_threads as u32,
-            serving_workers,
-            table: (*self.router.table()).clone(),
+            serving_workers: self.config.serving_workers as u32,
+            table: (*self.routes).clone(),
         };
         std::fs::write(
             dir.join(CheckpointManifest::FILE),
@@ -420,26 +396,20 @@ impl SamplingTier {
 /// byte gauges with the process's memory ledger as it comes up.
 pub struct ServingTier {
     config: HeliosConfig,
-    query: KHopQuery,
-    broker: Arc<Broker>,
-    liveness: Arc<Liveness>,
     registry: Arc<Registry>,
     recorder: Arc<FlightRecorder>,
-    accountant: Arc<MemAccountant>,
-    /// Id of the tier's first logical worker.
-    first: u32,
     replicas: usize,
-    /// The live fleet, flat: `[sew0-r0, sew0-r1, …, sew1-r0, …]`, index =
-    /// logical * replicas + r. Replaced wholesale (an `Arc` swap) when a
-    /// rescale commits, so every reader — serve paths, probes, the stats
-    /// reporter — grabs a consistent snapshot and never observes a
-    /// half-extended fleet.
-    set: RwLock<Arc<Vec<Arc<ServingWorker>>>>,
+    /// The fleet, flat: `[sew0-r0, sew0-r1, …, sew1-r0, …]`, index =
+    /// (logical - first) * replicas + r.
+    set: Vec<Arc<ServingWorker>>,
 }
 
 impl ServingTier {
     /// Start serving workers `ids` on `broker`, where their sample
-    /// queues must already exist.
+    /// queues must already exist. Each replica's cache byte gauges join
+    /// `plane`'s memory ledger; the block-cache and SST-index cells are
+    /// shared by the replica's two kvstores, and the ledger dedups by
+    /// cell, so adopting once per replica is exact.
     pub fn start(
         config: &HeliosConfig,
         coordinator: &Coordinator,
@@ -447,55 +417,47 @@ impl ServingTier {
         plane: &OpsPlane,
         ids: Range<u32>,
     ) -> Result<Arc<ServingTier>> {
-        let tier = ServingTier {
+        let liveness = coordinator.liveness();
+        let mut set = Vec::with_capacity(ids.len() * config.serving_replicas);
+        for s in ids {
+            for r in 0..config.serving_replicas as u32 {
+                let worker = ServingWorker::start(
+                    ServingWorkerId(s),
+                    r,
+                    config,
+                    coordinator.query(),
+                    broker,
+                    liveness.register(&format!("sew{s}-r{r}")),
+                    plane.registry(),
+                    plane.recorder(),
+                )?;
+                let (sw, rs) = (s.to_string(), r.to_string());
+                let labels: &[(&str, &str)] = &[("worker", &sw), ("replica", &rs)];
+                let g = worker.mem_gauges();
+                for (component, gauge) in [
+                    ("sample_table", &g.sample_table),
+                    ("feature_table", &g.feature_table),
+                    ("block_cache", &g.block_cache),
+                    ("sst_index", &g.sst_index),
+                    ("serve_scratch", &g.serve_scratch),
+                ] {
+                    plane.accountant().adopt(component, labels, gauge.clone());
+                }
+                set.push(worker);
+            }
+        }
+        Ok(Arc::new(ServingTier {
             config: config.clone(),
-            query: coordinator.query().clone(),
-            broker: Arc::clone(broker),
-            liveness: coordinator.liveness(),
             registry: Arc::clone(plane.registry()),
             recorder: Arc::clone(plane.recorder()),
-            accountant: Arc::clone(plane.accountant()),
-            first: ids.start,
             replicas: config.serving_replicas,
-            set: RwLock::default(),
-        };
-        tier.extend_to(ids.len())?;
-        Ok(Arc::new(tier))
+            set,
+        }))
     }
 
-    /// Start replica `r` of serving worker `s` and adopt its cache's byte
-    /// gauges. The block-cache and SST-index cells are shared by the
-    /// replica's two kvstores; the ledger dedups by cell, so adopting
-    /// once per replica is exact.
-    fn start_replica(&self, s: u32, r: u32) -> Result<Arc<ServingWorker>> {
-        let worker = ServingWorker::start(
-            ServingWorkerId(s),
-            r,
-            &self.config,
-            &self.query,
-            &self.broker,
-            self.liveness.register(&format!("sew{s}-r{r}")),
-            &self.registry,
-            &self.recorder,
-        )?;
-        let (sw, rs) = (s.to_string(), r.to_string());
-        let labels: &[(&str, &str)] = &[("worker", &sw), ("replica", &rs)];
-        let g = worker.mem_gauges();
-        for (component, gauge) in [
-            ("sample_table", &g.sample_table),
-            ("feature_table", &g.feature_table),
-            ("block_cache", &g.block_cache),
-            ("sst_index", &g.sst_index),
-            ("serve_scratch", &g.serve_scratch),
-        ] {
-            self.accountant.adopt(component, labels, gauge.clone());
-        }
-        Ok(worker)
-    }
-
-    /// A consistent snapshot of every live replica, flat (see `set`).
-    pub fn workers(&self) -> Arc<Vec<Arc<ServingWorker>>> {
-        Arc::clone(&self.set.read())
+    /// Every replica, flat (see `set`).
+    pub fn workers(&self) -> &[Arc<ServingWorker>] {
+        &self.set
     }
 
     /// Replicas per logical worker.
@@ -503,53 +465,14 @@ impl ServingTier {
         self.replicas
     }
 
-    /// Number of live logical serving workers.
-    pub(crate) fn logical(&self) -> usize {
-        self.workers().len() / self.replicas
-    }
-
-    /// Grow to `target` logical workers, keeping the ones already up
-    /// (a rescale's scale-out, run before any routing change). Their
-    /// sample queues must exist.
-    pub(crate) fn extend_to(&self, target: usize) -> Result<()> {
-        let mut joined = Vec::new();
-        for s in self.logical()..target {
-            for r in 0..self.replicas as u32 {
-                joined.push(self.start_replica(self.first + s as u32, r)?);
-            }
-        }
-        let mut set = self.set.write();
-        *set = Arc::new(set.iter().cloned().chain(joined).collect());
-        Ok(())
-    }
-
-    /// Shrink to `target` logical workers (a rescale's scale-in, run
-    /// after the commit routes nothing at the rest): drop the rest from
-    /// the set, stop them and end their heartbeat monitoring.
-    pub(crate) fn truncate_to(&self, target: usize) {
-        let removed = {
-            let mut set = self.set.write();
-            let mut workers = set.to_vec();
-            let removed = workers.split_off(target * self.replicas);
-            *set = Arc::new(workers);
-            removed
-        };
-        for w in &removed {
-            w.shutdown();
-            self.liveness
-                .deregister(&format!("sew{}-r{}", w.id().0, w.replica()));
-        }
-    }
-
     /// The drain equation with this tier's replicas consuming
     /// `sampling`'s sample queues in process: every replica applies its
     /// logical worker's whole queue, and malformed records are counted,
     /// never applied — both tallies drain it.
     pub(crate) fn watermarks(&self, sampling: &SamplingTier) -> Watermarks {
-        let set = self.workers();
-        let mut w = sampling.watermarks((set.len() / self.replicas) as u32);
+        let mut w = sampling.watermarks((self.set.len() / self.replicas) as u32);
         w.replicas = self.replicas as u64;
-        for s in set.iter() {
+        for s in &self.set {
             w.queues[s.id().0 as usize].applied += s.consumed();
         }
         w
@@ -558,8 +481,7 @@ impl ServingTier {
     /// A serve host's `StatsOk` entries: sample records applied and
     /// rejected as undecodable, and requests served, over the tier.
     pub fn stats_entries(&self) -> Vec<(String, u64)> {
-        let set = self.workers();
-        let sum = |count: fn(&ServingWorker) -> u64| set.iter().map(|w| count(w)).sum();
+        let sum = |count: fn(&ServingWorker) -> u64| self.set.iter().map(|w| count(w)).sum();
         vec![
             (Watermarks::APPLIED.into(), sum(ServingWorker::applied)),
             (
@@ -581,10 +503,9 @@ impl ServingTier {
         let mem_bound = (self.config.cache_memtable_budget * self.config.cache_shards * 4) as u64;
         let imm_bound = (self.config.cache_max_immutables * self.config.cache_shards) as u64;
         vec![Box::new(move || {
-            let set = tier.workers();
             let mut mem = 0u64;
             let mut worst_imm = 0u64;
-            for w in set.iter() {
+            for w in &tier.set {
                 let (s, f) = w.cache_stats();
                 mem += s.mem_bytes as u64 + f.mem_bytes as u64;
                 worst_imm = worst_imm
@@ -592,7 +513,7 @@ impl ServingTier {
                     .max(f.immutable_memtables as u64);
             }
             if flush_bounded {
-                let healthy = mem <= mem_bound * set.len() as u64 && worst_imm < imm_bound;
+                let healthy = mem <= mem_bound * tier.set.len() as u64 && worst_imm < imm_bound;
                 HealthReport::new(
                     "kvstore",
                     healthy,
@@ -619,7 +540,7 @@ impl ServingTier {
         move || {
             let registry = &tier.registry;
             let mut decode = 0u64;
-            for w in tier.workers().iter() {
+            for w in &tier.set {
                 decode += w.decode_errors();
                 let sw = w.id().0.to_string();
                 let r = w.replica().to_string();
@@ -677,7 +598,7 @@ impl ServingTier {
 
     /// Stop every replica's updater threads; caches stay readable.
     pub fn shutdown(&self) {
-        for w in self.workers().iter() {
+        for w in &self.set {
             w.shutdown();
         }
     }

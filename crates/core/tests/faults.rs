@@ -166,7 +166,7 @@ fn checkpoint_topology_mismatch_rebuilds_and_reroutes() {
         let seed = VertexId(u);
         assert_eq!(
             helios.serving_worker_for(seed).id(),
-            helios.router().owner_of(seed),
+            helios.route_table().owner_of(seed),
             "front-end and router agree on the owner of seed {u}"
         );
         let sg = helios.serve(seed).unwrap();

@@ -326,7 +326,8 @@ fn churn_case(seed: u64, ops: &[ChurnOp], batched: bool) {
 /// A checkpoint restored into a different topology re-derives every
 /// subscription. With two sampling workers, one worker's re-derive
 /// charges hop-1 cells and features on the other worker's shards; the
-/// other worker's own re-derive must not wipe those charges.
+/// other worker's own re-derive must not wipe those charges, and the
+/// restored deployment must serve what one started in its shape serves.
 #[test]
 fn rebuild_after_a_topology_change_keeps_cross_worker_charges() {
     for seed in 1..=4u64 {
@@ -357,6 +358,25 @@ fn rebuild_after_a_topology_change_keeps_cross_worker_charges() {
         );
         let (res, subs) = check_subscriptions(seed, &helios);
         check_caches(seed, &helios, &res, &subs);
+        // Every seed serves the bytes a deployment of the restored shape
+        // that never checkpointed serves after the same stream.
+        let reference =
+            HeliosDeployment::start(HeliosConfig::with_workers(2, 2), churn_query()).unwrap();
+        reference.ingest_batch(&updates).unwrap();
+        assert!(
+            reference.quiesce(SETTLE),
+            "seed {seed}: reference failed to quiesce"
+        );
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for &(s, _) in subs[0].keys() {
+            helios.serve_encoded(VertexId(s), &mut got).unwrap();
+            reference.serve_encoded(VertexId(s), &mut want).unwrap();
+            assert_eq!(
+                got, want,
+                "seed {seed}: seed vertex {s} serves other bytes than the reference"
+            );
+        }
+        reference.shutdown();
         helios.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -409,7 +429,7 @@ fn check_subscriptions(seed: u64, helios: &HeliosDeployment) -> (Reservoirs, [Re
     for (&s, &owner) in &seeds {
         assert_eq!(
             owner,
-            helios.router().owner_of(VertexId(s)).0,
+            helios.route_table().owner_of(VertexId(s)).0,
             "seed {seed}: seed vertex {s} charged to a non-owner"
         );
         *exp_samples[0].entry((s, owner)).or_insert(0) += 1;

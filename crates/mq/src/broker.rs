@@ -75,23 +75,6 @@ impl Broker {
         Ok(t)
     }
 
-    /// Delete a topic and purge every consumer group's committed offsets
-    /// and live positions for it. Purging matters when a topic name is
-    /// later re-created (e.g. `samples-3` after a scale-in/scale-out
-    /// cycle): a fresh topic starts at offset 0, so stale committed
-    /// offsets from the previous incarnation would make consumers skip
-    /// the entire new log. Existing consumers of the deleted topic keep
-    /// their `Arc<Topic>` and simply drain whatever is already buffered.
-    pub fn delete_topic(&self, name: &str) -> Result<()> {
-        let removed = self.topics.write().remove(name);
-        if removed.is_none() {
-            return Err(HeliosError::NotFound(format!("topic '{name}'")));
-        }
-        self.offsets.write().retain(|(_, t, _), _| t != name);
-        self.positions.write().retain(|(_, t, _), _| t != name);
-        Ok(())
-    }
-
     /// Look up a topic.
     pub fn topic(&self, name: &str) -> Result<Arc<Topic>> {
         self.topics
@@ -140,8 +123,7 @@ impl Broker {
     }
 
     /// Store `group`'s committed offset. The group's first commit on a
-    /// partition registers the committed cell as one of its readers. A
-    /// consumer of a since-deleted topic has nothing left to commit to.
+    /// partition registers the committed cell as one of its readers.
     pub(crate) fn commit(
         &self,
         group: &str,
@@ -152,12 +134,6 @@ impl Broker {
         let Ok(part) = topic.partition(partition) else {
             return;
         };
-        if !self
-            .topic(topic.name())
-            .is_ok_and(|live| Arc::ptr_eq(&live, topic))
-        {
-            return;
-        }
         self.offsets
             .write()
             .entry((group.to_string(), topic.name().to_string(), partition.0))
@@ -289,38 +265,6 @@ mod tests {
             .create_topic("updates", TopicConfig::in_memory(4))
             .is_err());
         assert_eq!(b.topic_names(), vec!["updates".to_string()]);
-    }
-
-    #[test]
-    fn delete_topic_purges_offsets_for_reincarnation() {
-        let b = Broker::new();
-        let t = b
-            .create_topic("samples-3", TopicConfig::in_memory(1))
-            .unwrap();
-        for i in 0..10u64 {
-            t.produce(i, Bytes::from_static(b"s")).unwrap();
-        }
-        let mut old = b.consumer_all("sew-3-r0", "samples-3").unwrap();
-        assert_eq!(old.poll_now(100).len(), 10);
-        old.commit();
-        b.delete_topic("samples-3").unwrap();
-        assert!(b.topic("samples-3").is_err());
-        assert!(b.delete_topic("samples-3").is_err());
-        // Re-created topic: same name, fresh log. The old committed
-        // offset (10) must not survive, or this consumer would skip the
-        // new topic's entire contents — nor may a late commit from a
-        // consumer of the deleted incarnation bring it back.
-        let t = b
-            .create_topic("samples-3", TopicConfig::in_memory(1))
-            .unwrap();
-        for i in 0..4u64 {
-            t.produce(i, Bytes::from_static(b"fresh")).unwrap();
-        }
-        old.commit();
-        drop(old);
-        let mut c = b.consumer_all("sew-3-r0", "samples-3").unwrap();
-        assert_eq!(c.poll_now(100).len(), 4);
-        assert_eq!(b.group_lag("sew-3-r0", "samples-3"), 0);
     }
 
     #[test]

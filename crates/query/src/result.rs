@@ -261,7 +261,9 @@ impl SubgraphArena {
     /// Decode one wire-encoded feature vector (`u32` count + f32 LE
     /// values, the cache's value format) straight into the flat feature
     /// storage — no intermediate `Vec<f32>`. Returns `false` (appending
-    /// nothing) when the payload is malformed.
+    /// nothing) when the payload is malformed. Features are kept in
+    /// vertex-id order, the encoded order, so pushing them in ascending
+    /// id order only ever appends.
     pub fn push_feature_raw(&mut self, v: VertexId, raw: &[u8]) -> bool {
         if raw.len() < 4 {
             return false;
@@ -276,11 +278,15 @@ impl SubgraphArena {
                 .chunks_exact(4)
                 .map(|c| f32::from_le_bytes(c.try_into().unwrap())),
         );
-        self.feats.push(FeatRef {
-            vertex: v,
-            start,
-            len: n as u32,
-        });
+        let at = self.feats.partition_point(|f| f.vertex.raw() < v.raw());
+        self.feats.insert(
+            at,
+            FeatRef {
+                vertex: v,
+                start,
+                len: n as u32,
+            },
+        );
         true
     }
 
@@ -341,7 +347,7 @@ impl<'a> SubgraphView<'a> {
         })
     }
 
-    /// Gathered `(vertex, feature)` pairs in assembly order.
+    /// Gathered `(vertex, feature)` pairs in vertex-id order.
     pub fn features(&self) -> impl Iterator<Item = (VertexId, &'a [f32])> + 'a {
         let arena = self.arena;
         arena.feats.iter().map(move |f| {
@@ -400,13 +406,10 @@ impl<'a> SubgraphView<'a> {
                 }
             }
         }
-        // Normalized feature order (by vertex id), matching the owned
-        // encoder. The index sort is the only allocation on this path.
-        let mut order: Vec<u32> = (0..arena.feats.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| arena.feats[i as usize].vertex.raw());
-        out.extend_from_slice(&(order.len() as u32).to_le_bytes());
-        for i in order {
-            let f = arena.feats[i as usize];
+        // Normalized feature order (by vertex id, which the arena keeps),
+        // matching the owned encoder.
+        out.extend_from_slice(&(arena.feats.len() as u32).to_le_bytes());
+        for f in &arena.feats {
             out.extend_from_slice(&f.vertex.raw().to_le_bytes());
             out.extend_from_slice(&f.len.to_le_bytes());
             for x in &arena.feat_data[f.start as usize..(f.start + f.len) as usize] {

@@ -49,7 +49,7 @@ pub use accept::{AcceptLoop, ConnMode};
 pub use exposition::render_prometheus;
 pub use mem::{MemAccountant, MemTick, MEM_BUDGET_FRACTION, MEM_BYTES};
 pub use metrics::{Histogram, Snapshot, StopwatchGuard, Table, ThroughputMeter};
-pub use ops::{DynRoutes, HealthReport, OpsServer, OpsState};
+pub use ops::{HealthReport, OpsServer, OpsState};
 pub use profiler::Profiler;
 pub use recorder::{EventKind, FlightEvent, FlightRecorder};
 pub use registry::{Counter, Gauge, Registry, RegistrySnapshot};

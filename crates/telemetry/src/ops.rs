@@ -31,7 +31,6 @@ use crate::recorder::FlightRecorder;
 use crate::registry::RegistrySnapshot;
 use crate::retention::RetainedTraces;
 use crate::trace;
-use parking_lot::RwLock;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -63,63 +62,6 @@ impl HealthReport {
 /// A named health probe, run on every `/healthz` request.
 pub type HealthProbe = Box<dyn Fn() -> HealthReport + Send + Sync>;
 
-/// Handler for a dynamically registered path: `(method, query)` in,
-/// `(status code, content type, body)` out.
-pub type DynHandler = Box<dyn Fn(&str, &str) -> (u16, String, String) + Send + Sync>;
-
-/// Paths registered *after* the server started.
-///
-/// The builder-style [`OpsState`] is consumed by [`OpsServer::start`], so
-/// components constructed later (e.g. a rescale controller that needs an
-/// `Arc` to the deployment, which does not exist yet when the ops server
-/// is wired up) cannot add endpoints through it. `DynRoutes` is the
-/// escape hatch: share one handle with the ops state and register
-/// handlers whenever the component comes up. Registering a path that
-/// already exists replaces the old handler; built-in paths always win.
-#[derive(Default)]
-pub struct DynRoutes {
-    routes: RwLock<Vec<(String, DynHandler)>>,
-}
-
-impl DynRoutes {
-    /// An empty, shareable route table.
-    pub fn new() -> Arc<DynRoutes> {
-        Arc::new(DynRoutes::default())
-    }
-
-    /// Register (or replace) the handler for `path` (must start with `/`).
-    pub fn register(
-        &self,
-        path: impl Into<String>,
-        handler: impl Fn(&str, &str) -> (u16, String, String) + Send + Sync + 'static,
-    ) {
-        let path = path.into();
-        debug_assert!(path.starts_with('/'), "dyn route must start with /");
-        let mut routes = self.routes.write();
-        routes.retain(|(p, _)| *p != path);
-        routes.push((path, Box::new(handler)));
-    }
-
-    /// Currently registered paths.
-    pub fn paths(&self) -> Vec<String> {
-        self.routes.read().iter().map(|(p, _)| p.clone()).collect()
-    }
-
-    fn dispatch(&self, path: &str, method: &str, query: &str) -> Option<(u16, String, String)> {
-        let routes = self.routes.read();
-        let (_, handler) = routes.iter().find(|(p, _)| p == path)?;
-        Some(handler(method, query))
-    }
-}
-
-impl std::fmt::Debug for DynRoutes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DynRoutes")
-            .field("paths", &self.paths())
-            .finish()
-    }
-}
-
 /// Everything the ops server serves from. Build one, then
 /// [`OpsServer::start`] it.
 pub struct OpsState {
@@ -128,7 +70,6 @@ pub struct OpsState {
     recorder: Option<Arc<FlightRecorder>>,
     retained: Option<Arc<RetainedTraces>>,
     profiler: Option<Arc<Profiler>>,
-    dyn_routes: Option<Arc<DynRoutes>>,
 }
 
 impl OpsState {
@@ -141,7 +82,6 @@ impl OpsState {
             recorder: None,
             retained: None,
             profiler: None,
-            dyn_routes: None,
         }
     }
 
@@ -166,13 +106,6 @@ impl OpsState {
     /// Attach a sampling profiler for `/profile`.
     pub fn profiler(mut self, profiler: Arc<Profiler>) -> OpsState {
         self.profiler = Some(profiler);
-        self
-    }
-
-    /// Attach a dynamic route table; handlers registered on it later are
-    /// served immediately.
-    pub fn routes(mut self, routes: Arc<DynRoutes>) -> OpsState {
-        self.dyn_routes = Some(routes);
         self
     }
 
@@ -321,35 +254,7 @@ fn handle_connection(mut stream: TcpStream, state: &OpsState) -> std::io::Result
     stream.flush()
 }
 
-/// Map a numeric status to an HTTP/1.1 status line.
-fn status_line(code: u16) -> String {
-    let reason = match code {
-        200 => "OK",
-        202 => "Accepted",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        409 => "Conflict",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        _ => "Status",
-    };
-    format!("{code} {reason}")
-}
-
-fn route(method: &str, path: &str, query: &str, state: &OpsState) -> (String, String, String) {
-    let (status, content_type, body) = route_builtin(method, path, query, state);
-    if status == "404 Not Found" {
-        if let Some(routes) = &state.dyn_routes {
-            if let Some((code, ct, body)) = routes.dispatch(path, method, query) {
-                return (status_line(code), ct, body);
-            }
-        }
-    }
-    (status.into(), content_type.into(), body)
-}
-
-fn route_builtin(
+fn route(
     method: &str,
     path: &str,
     query: &str,
@@ -565,39 +470,6 @@ mod tests {
         assert!(status.contains("200"));
         assert!(!trace::tracing_enabled());
         assert!(body.contains("ops.test"), "{body}");
-    }
-
-    #[test]
-    fn dynamic_routes_register_and_replace() {
-        let (_registry, _healthy, state) = test_state();
-        let routes = DynRoutes::new();
-        let server = OpsServer::start("127.0.0.1:0", state.routes(Arc::clone(&routes))).unwrap();
-        // Not registered yet.
-        let (status, _) = http_get(server.addr(), "/scale");
-        assert!(status.contains("404"), "{status}");
-        // Registered after start; sees the query string.
-        routes.register("/scale", |method, query| {
-            (
-                200,
-                "text/plain; charset=utf-8".into(),
-                format!("method={method} query={query}\n"),
-            )
-        });
-        let (status, body) = http_get(server.addr(), "/scale?target=4");
-        assert!(status.contains("200"), "{status}");
-        assert_eq!(body, "method=GET query=target=4\n");
-        // Re-registering replaces, and non-200 codes map to status lines.
-        routes.register("/scale", |_, _| (409, "text/plain".into(), "busy\n".into()));
-        let (status, body) = http_get(server.addr(), "/scale");
-        assert!(status.contains("409"), "{status}");
-        assert_eq!(body, "busy\n");
-        // Built-in paths are not shadowed by dyn routes.
-        routes.register("/vars", |_, _| {
-            (200, "text/plain".into(), "shadow\n".into())
-        });
-        let (_, body) = http_get(server.addr(), "/vars");
-        assert!(body.contains("\"counters\""), "{body}");
-        assert_eq!(routes.paths().len(), 2);
     }
 
     #[test]

@@ -57,22 +57,6 @@ pub enum EventKind {
     /// `HeliosDeployment::quiesce` hit its deadline. `a` = remaining
     /// drain deficit (produced − consumed over all stages).
     QuiesceFailed,
-    /// A new routing-table epoch was committed. `a` = new epoch,
-    /// `b` = logical serving workers under the new table, `c` = slots
-    /// that changed owner relative to the previous table.
-    EpochBump,
-    /// A rescale handoff began. `a` = current epoch, `b` = current
-    /// logical workers, `c` = target logical workers.
-    HandoffStarted,
-    /// A rescale handoff finished and the new table is live.
-    /// `a` = committed epoch, `b` = logical workers now serving,
-    /// `c` = handoff duration in milliseconds.
-    HandoffCompleted,
-    /// A rescale handoff was abandoned before commit (watermark timeout);
-    /// routing is unchanged and the attempt's pending charges were rolled
-    /// back. `a` = the abandoned attempt's epoch, `b` = target logical
-    /// workers, `c` = elapsed milliseconds at abandonment.
-    HandoffAborted,
     /// `start_from_checkpoint` found a different worker topology than the
     /// checkpoint was taken with. `a` = checkpointed logical serving
     /// workers, `b` = configured logical serving workers, `c` =
@@ -98,10 +82,6 @@ impl EventKind {
             EventKind::FreshnessProbe => "freshness_probe",
             EventKind::SloBurn => "slo_burn",
             EventKind::QuiesceFailed => "quiesce_failed",
-            EventKind::EpochBump => "epoch_bump",
-            EventKind::HandoffStarted => "handoff_started",
-            EventKind::HandoffCompleted => "handoff_completed",
-            EventKind::HandoffAborted => "handoff_aborted",
             EventKind::TopologyMismatch => "topology_mismatch",
             EventKind::MemPressure => "mem_pressure",
         }

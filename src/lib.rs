@@ -24,7 +24,7 @@
 //! * `helios-query` — K-hop query language, decomposition, result types;
 //! * `helios-mq` — partitioned message queue (Kafka substitute);
 //! * `helios-kvstore` — LSM-style KV store (RocksDB substitute);
-//! * `helios-membership` — route tables, epochs and the rescale policy;
+//! * `helios-membership` — the seed → serving-worker slot route table;
 //! * `helios-net` — wire protocol, transports, gateway and the launcher's
 //!   process hosts;
 //! * `helios-telemetry` — metrics registry and instruments, tracing, the
